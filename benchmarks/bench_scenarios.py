@@ -277,13 +277,13 @@ def scheduler_specs(quick: bool) -> list[ExperimentSpec]:
     ]
 
 
-def cohort_specs(quick: bool) -> list[ExperimentSpec]:
-    """Same-graph trial cohorts for the lockstep executor (PR 6).
+def batched_specs(quick: bool) -> list[ExperimentSpec]:
+    """Same-graph trial batches for the pipelined backend.
 
     ``graph_seed_mode="fixed"`` makes every ``(size, seed)`` graph
     shared by all label-set x placement variants, so the pipelined
-    backend's batch plan hands the cohort executor groups of four
-    same-graph trials to advance in lockstep.
+    backend's batch plan builds each graph once for a batch of four
+    trials that also share its route cache.
     """
     seeds = (0, 1) if quick else (0, 1, 2, 3)
     return [
@@ -335,7 +335,7 @@ def _scheduler_counters(
     The timed repetitions stay metrics-free (the throughput gate has a
     2% budget); this extra pass re-runs the grid once with a registry
     attached and distills the counters the trend artifact tracks:
-    walk-segment batching, cohort eject rate, and plan-cache locality.
+    walk-segment batching and plan-cache locality.
     """
     from repro.explore.uxs import reset_cache_stats
     from repro.metrics import registry as metrics_registry
@@ -350,14 +350,11 @@ def _scheduler_counters(
         for spec in specs:
             run_experiment(spec, workers=1, backend=backend)
     snap = reg.snapshot()
-    trials = _counter_sum(snap, "runner.trials.executed")
-    ejects = _counter_sum(snap, "sim.cohort.ejects")
     hits = _counter_sum(snap, "sim.plan_intern.hits")
     misses = _counter_sum(snap, "sim.plan_intern.misses")
     return {
         "segments": _counter_sum(snap, "sim.walk.segments"),
         "segment_edges": _counter_sum(snap, "sim.walk.segment_edges"),
-        "eject_rate": round(ejects / max(1, trials), 4),
         "plan_intern_hit_ratio": round(
             hits / max(1, hits + misses), 4
         ),
@@ -369,10 +366,9 @@ def measure_scheduler(
 ) -> dict:
     """Time the walk-heavy workloads (in-process, best of reps).
 
-    ``walk_heavy`` runs the mixed serial workload; ``walk_heavy_cohort``
-    pushes same-graph cohorts through the pipelined backend's inline
-    batch plan, i.e. the lockstep cohort executor
-    (:mod:`repro.sim.cohort`) with scalar ejection.
+    ``walk_heavy`` runs the mixed serial workload; ``walk_heavy_batched``
+    pushes same-graph trials through the pipelined backend's inline
+    batch plan (one graph build and one route cache per batch).
 
     Each entry also carries a ``counters`` block from a separate
     instrumented pass; the regression gate ignores it
@@ -381,7 +377,7 @@ def measure_scheduler(
     entries = {}
     for name, specs, backend in (
         ("walk_heavy", scheduler_specs(quick), None),
-        ("walk_heavy_cohort", cohort_specs(quick), "pipelined"),
+        ("walk_heavy_batched", batched_specs(quick), "pipelined"),
     ):
         n_trials, best = _timed_specs(specs, repetitions, backend)
         trials_per_s = n_trials / best

@@ -31,8 +31,9 @@ class PreparedRun:
 
     The ``prepare_*`` front-ends below split run assembly (placement,
     pre-flight UXS verification, agent program construction) from
-    execution so the cohort executor can collect many same-graph
-    simulations and drive them in lockstep; ``finalize`` turns a
+    execution so a caller can drive the simulation itself (faulted
+    trials read its raw result instead of the validated report, tools
+    attach event processors to it first); ``finalize`` turns a
     :class:`~repro.sim.scheduler.SimulationResult` — however obtained —
     into the same validated report ``run()`` returns.
     """

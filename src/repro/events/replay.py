@@ -10,9 +10,9 @@ The HTML viewer animates the gathering dance: agents walking the port
 graph round by round, reconstructed from ``SimulationStart`` (the
 graph), ``AgentMove`` events and expanded ``WalkSegment`` routes —
 the same expansion trace mode applies to ``move_log``.  Scenes are
-delimited by ``SimulationStart``/``SimulationEnd`` pairs; traces from
-lockstep-cohort runs interleave scenes and are better inspected with
-``trace summary`` (see docs/observability.md).
+delimited by ``SimulationStart``/``SimulationEnd`` pairs.  A
+``CohortEject`` line from a trace written by an older release is a
+recognized simulation event that expands to no moves.
 """
 
 from __future__ import annotations

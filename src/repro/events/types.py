@@ -31,7 +31,7 @@ class Event:
 
 
 # --------------------------------------------------------------------
-# Simulation layer (emitted by sim/scheduler.py and sim/cohort.py)
+# Simulation layer (emitted by sim/scheduler.py)
 # --------------------------------------------------------------------
 
 
@@ -114,10 +114,13 @@ class WatchFired(Event):
 
 @dataclass(frozen=True, slots=True)
 class CohortEject(Event):
-    """The lockstep cohort executor ejected trial ``trial`` to the
-    scalar scheduler; ``reason`` is the divergence tag (``watch`` /
-    ``dormant-wake`` / ``walk-fallback`` / ``trace`` / ``fault`` /
-    ``dynamics``)."""
+    """Legacy: a lockstep cohort member left the vectorized path.
+
+    No longer emitted (the lockstep cohort executor was removed); the
+    type stays decodable so that version-1 traces written before its
+    removal still validate and replay.  ``reason`` was the divergence
+    tag (``watch`` / ``dormant-wake`` / ``walk-fallback`` / ``trace``
+    / ``fault`` / ``dynamics``)."""
 
     trial: int
     reason: str

@@ -38,6 +38,7 @@ from ...explore.uxs import UXSProvider
 from ...metrics import registry as _metrics_registry
 from .. import worker as worker_mod
 from ..spec import TrialSpec
+from ..trial import execute_trial
 from .base import BackendContext
 from .process import pool_context
 
@@ -86,8 +87,7 @@ class PipelinedBackend:
         ctx: BackendContext, batches: list[list[TrialSpec]]
     ) -> Iterator[dict]:
         # Same batch plan, no pool: the graph of each batch is still
-        # built exactly once, so the dedup win survives workers=1 —
-        # and same-graph cohort-eligible trials run in lockstep.
+        # built exactly once, so the dedup win survives workers=1.
         reg = _metrics_registry.current()
         provider = UXSProvider(**ctx.provider_args)
         for batch in batches:
@@ -99,9 +99,8 @@ class PipelinedBackend:
                     len(batch)
                 )
             graph = worker_mod.shared_graph(batch[0])
-            for result in worker_mod.execute_trial_batch(
-                batch, provider=provider, graph=graph
-            ):
+            for trial in batch:
+                result = execute_trial(trial, provider=provider, graph=graph)
                 if reg is not None:
                     reg.counter(
                         "runner.backend.records", backend="pipelined"

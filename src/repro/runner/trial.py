@@ -273,31 +273,6 @@ def _scenario_is_randomized(trial: TrialSpec) -> bool:
     )
 
 
-def _gather_known_metrics(report, graph: PortGraph) -> dict:
-    return {
-        "rounds": report.round,
-        "moves": report.total_moves,
-        "events": report.events,
-        "phases": report.phases,
-        "leader": report.leader,
-        "node": report.node,
-        "edges": graph.num_edges(),
-    }
-
-
-def _gather_unknown_metrics(report, graph: PortGraph) -> dict:
-    return {
-        "rounds": report.round,
-        "moves": report.total_moves,
-        "events": report.events,
-        "leader": report.leader,
-        "node": report.node,
-        "hypothesis": report.hypothesis,
-        "size": report.size,
-        "edges": graph.num_edges(),
-    }
-
-
 def _run_gather_known(trial: TrialSpec, graph: PortGraph,
                       provider: UXSProvider | None,
                       start_nodes: list[int] | None,
@@ -310,7 +285,15 @@ def _run_gather_known(trial: TrialSpec, graph: PortGraph,
         wake_rounds=wake_rounds,
         provider=provider,
     )
-    return _gather_known_metrics(report, graph)
+    return {
+        "rounds": report.round,
+        "moves": report.total_moves,
+        "events": report.events,
+        "phases": report.phases,
+        "leader": report.leader,
+        "node": report.node,
+        "edges": graph.num_edges(),
+    }
 
 
 def _run_gather_unknown(trial: TrialSpec, graph: PortGraph,
@@ -327,7 +310,16 @@ def _run_gather_unknown(trial: TrialSpec, graph: PortGraph,
         wake_rounds=wake_rounds,
         provider=provider,
     )
-    return _gather_unknown_metrics(report, graph)
+    return {
+        "rounds": report.round,
+        "moves": report.total_moves,
+        "events": report.events,
+        "leader": report.leader,
+        "node": report.node,
+        "hypothesis": report.hypothesis,
+        "size": report.size,
+        "edges": graph.num_edges(),
+    }
 
 
 def _run_gossip_known(trial: TrialSpec, graph: PortGraph,
@@ -530,16 +522,33 @@ def _faulted_metrics(
     return metrics
 
 
-def _prepare_faulted(
+def _run_faulted(
     trial: TrialSpec,
     graph: PortGraph,
     provider: UXSProvider | None,
     start_nodes: list[int] | None,
     wake_rounds: list[int | None],
-    faults_pairs: tuple[tuple[int, int], ...],
     draw: int,
-) -> "PreparedTrial":
-    """Build a faulted trial's simulation, ready to run or cohort."""
+    faults_pairs: tuple[tuple[int, int], ...] | None = None,
+) -> dict:
+    """Execute one faulted/dynamic scenario into robustness metrics.
+
+    A protocol error (phase-budget overruns under blocked edges, wait
+    budgets starved by a crashed teammate, deadlocks past the horizon's
+    reach) is a *finding*, not a failure: the run is finalized
+    gracefully (every live agent ends undeclared at its current node)
+    and recorded ``ok`` with a ``protocol_error`` note, so a
+    robustness sweep can query how often the paper's algorithm survives
+    its model being broken.  ``timed_out`` stays false because the run
+    ended by the error, not the horizon.  Any other exception is a
+    genuine failure and propagates.
+    """
+    if faults_pairs is None:
+        faults_pairs = _resolve_trial_faults(trial, wake_rounds, draw)
+    else:
+        faults_pairs = ensure_round0_survivor(
+            faults_pairs, trial.labels, wake_rounds
+        )
     dynamics = None
     if trial.dynamics != "none":
         dynamics = make_dynamics(
@@ -576,47 +585,18 @@ def _prepare_faulted(
             f"faults/dynamics are not supported for "
             f"{trial.algorithm!r} trials"
         )
-    return PreparedTrial(
-        trial, graph, prepared, None,
-        fault_ctx=(tuple(faults_pairs), horizon),
-    )
-
-
-def _run_faulted(
-    trial: TrialSpec,
-    graph: PortGraph,
-    provider: UXSProvider | None,
-    start_nodes: list[int] | None,
-    wake_rounds: list[int | None],
-    draw: int,
-    faults_pairs: tuple[tuple[int, int], ...] | None = None,
-) -> dict:
-    """Execute one faulted/dynamic scenario into robustness metrics.
-
-    A protocol error (phase-budget overruns under blocked edges, wait
-    budgets starved by a crashed teammate, deadlocks past the horizon's
-    reach) is a *finding*, not a failure: the run is finalized
-    gracefully and recorded ``ok`` with a ``protocol_error`` note, so a
-    robustness sweep can query how often the paper's algorithm survives
-    its model being broken.
-    """
-    if faults_pairs is None:
-        faults_pairs = _resolve_trial_faults(trial, wake_rounds, draw)
-    else:
-        faults_pairs = ensure_round0_survivor(
-            faults_pairs, trial.labels, wake_rounds
-        )
-    prepared = _prepare_faulted(
-        trial, graph, provider, start_nodes, wake_rounds, faults_pairs, draw
-    )
+    sim = prepared.simulation
+    protocol_error = None
     try:
-        result = prepared.simulation.run()
-    except Exception as exc:
-        metrics = prepared.finalize_error(exc)
-        if metrics is None:
-            raise
-        return metrics
-    return prepared.finalize(result)
+        result = sim.run()
+    except RuntimeError as exc:
+        sim._graceful_stop()
+        sim.timed_out = False
+        result = sim.result()
+        protocol_error = f"{type(exc).__name__}: {exc}"
+    return _faulted_metrics(
+        trial, graph, result, faults_pairs, horizon, protocol_error
+    )
 
 
 def _simulate_scenario(
@@ -915,115 +895,3 @@ def _execute_trial_inner(
             trial, ok=False, error=f"{type(exc).__name__}: {exc}"
         )
     return TrialResult(trial, ok=True, metrics=metrics)
-
-
-class PreparedTrial:
-    """A trial resolved down to a ready-to-run :class:`Simulation`.
-
-    Produced by :func:`prepare_trial` for cohort-eligible trials; the
-    cohort executor drives :attr:`simulation` (together with its
-    same-graph batch-mates) and calls :meth:`finalize` on the raw
-    :class:`~repro.sim.scheduler.SimulationResult` to obtain exactly
-    the metrics dict :func:`execute_trial` would have recorded.
-    """
-
-    __slots__ = ("trial", "graph", "prepared", "_metrics_fn", "_fault_ctx")
-
-    def __init__(self, trial: TrialSpec, graph: PortGraph,
-                 prepared, metrics_fn, fault_ctx=None) -> None:
-        self.trial = trial
-        self.graph = graph
-        self.prepared = prepared
-        self._metrics_fn = metrics_fn
-        # (faults_pairs, horizon) for faulted trials; None otherwise.
-        # Faulted trials skip report validation (crashed agents never
-        # declare) and flatten the raw result instead.
-        self._fault_ctx = fault_ctx
-
-    @property
-    def simulation(self):
-        return self.prepared.simulation
-
-    def finalize(self, sim_result) -> dict:
-        """Validate a result into the trial's canonical metrics dict."""
-        if self._fault_ctx is not None:
-            faults_pairs, horizon = self._fault_ctx
-            return _faulted_metrics(
-                self.trial, self.graph, sim_result, faults_pairs, horizon
-            )
-        report = self.prepared.finalize(sim_result)
-        return self._metrics_fn(report, self.graph)
-
-    def finalize_error(self, exc: BaseException) -> dict | None:
-        """Convert a faulted trial's protocol error into ``ok`` metrics.
-
-        Returns ``None`` when the error is a genuine failure — an
-        unfaulted trial, or anything that is not a ``RuntimeError`` —
-        and the caller should record it as one.  Otherwise the
-        simulation is finalized gracefully (every live agent ends
-        undeclared at its current node) and the metrics carry the
-        error text as ``protocol_error``; ``timed_out`` stays false
-        because the run ended by the error, not the horizon.
-        """
-        if self._fault_ctx is None or not isinstance(exc, RuntimeError):
-            return None
-        faults_pairs, horizon = self._fault_ctx
-        sim = self.prepared.simulation
-        sim._graceful_stop()
-        sim.timed_out = False
-        return _faulted_metrics(
-            self.trial, self.graph, sim.result(), faults_pairs, horizon,
-            protocol_error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def prepare_trial(
-    trial: TrialSpec,
-    graph: PortGraph,
-    provider: UXSProvider | None = None,
-) -> PreparedTrial | None:
-    """Resolve a cohort-eligible trial into a :class:`PreparedTrial`.
-
-    Returns ``None`` when the trial cannot run in a lockstep cohort —
-    anything but a ``fixed`` adversary (multi-draw adversaries run
-    many simulations per trial) or an algorithm without a prepare
-    front-end — in which case the caller falls back to
-    :func:`execute_trial`.  Exceptions raised here (scenario
-    resolution, pre-flight verification, simulation construction) are
-    exactly those :func:`execute_trial` captures, so callers convert
-    them into identical failure records.
-    """
-    if trial.algorithm not in ("gather_known", "gather_unknown"):
-        return None
-    kind, _draws = parse_adversary(trial.adversary)
-    if kind != "fixed":
-        return None
-    start_nodes, wake_rounds = resolve_scenario(trial, graph, 0)
-    if _trial_is_faulted(trial):
-        # Faulted trials cohort too: the lockstep scheduler ejects a
-        # trial at its first crash or blocked edge, and the scalar
-        # finish plus ``finalize``/``finalize_error`` reproduce the
-        # serial path's records byte-for-byte.
-        faults_pairs = _resolve_trial_faults(trial, wake_rounds, 0)
-        return _prepare_faulted(
-            trial, graph, provider, start_nodes, wake_rounds,
-            faults_pairs, 0,
-        )
-    if trial.algorithm == "gather_known":
-        prepared = prepare_gather_known(
-            graph,
-            list(trial.labels),
-            trial.n_bound,
-            start_nodes=start_nodes,
-            wake_rounds=wake_rounds,
-            provider=provider,
-        )
-        return PreparedTrial(trial, graph, prepared, _gather_known_metrics)
-    prepared = prepare_gather_unknown(
-        graph,
-        list(trial.labels),
-        start_nodes=start_nodes,
-        wake_rounds=wake_rounds,
-        provider=provider,
-    )
-    return PreparedTrial(trial, graph, prepared, _gather_unknown_metrics)

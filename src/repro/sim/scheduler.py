@@ -298,10 +298,10 @@ class Simulation:
     route_cache:
         Controls the vectorized segment planner's route cache:
         ``None`` (default) shares the per-graph cache from
-        :func:`repro.sim.cohort.route_cache_for` when numpy is
+        :func:`repro.sim.segments.route_cache_for` when numpy is
         available, ``False`` disables the vectorized planner entirely
         (pure-scalar planning), and an explicit
-        :class:`~repro.sim.cohort.RouteCache` is used as given.
+        :class:`~repro.sim.segments.RouteCache` is used as given.
     events:
         An :class:`repro.events.EventDispatcher` to emit typed events
         to.  ``None`` (default) uses the process-global dispatcher
@@ -432,17 +432,12 @@ class Simulation:
         self._mx = _metrics_registry.current()
         self._metrics_flushed = False
         # Vectorized planner, resolved lazily on the first walk round
-        # (importing cohort / building the route cache costs nothing on
+        # (importing numpy / building the route cache costs nothing on
         # walk-free runs).
         self._route_cache_opt = route_cache
         self.route_cache = None
         self._planner = None
         self._planner_resolved = False
-        # Set by step_round() when the round did something the lockstep
-        # vector path cannot express (see repro.sim.cohort): "watch",
-        # "dormant-wake", "walk-fallback", "fault" or "dynamics"; None
-        # otherwise.
-        self.last_step_divergence: str | None = None
 
         for idx, s in enumerate(self.specs):
             self._active += 1
@@ -520,9 +515,9 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Execute until every agent terminates.
 
-        Resumable: callers (the cohort executor) may interleave
-        :meth:`step_round` calls with ``run()``; the loop simply
-        continues from the current state.
+        The loop body is :meth:`step_round`; a caller that stepped some
+        rounds itself may call ``run()`` to continue from the current
+        state.
         """
         if self._mx is None:
             while self._active > 0:
@@ -574,11 +569,6 @@ class Simulation:
         self._fault_i = i
         return None
 
-    @property
-    def finished(self) -> bool:
-        """True once every agent has terminated."""
-        return self._active == 0
-
     # Back-compat thin views over the standalone fast-path counters
     # (migrated to metrics counters; see __init__).
 
@@ -601,7 +591,7 @@ class Simulation:
         self._c_segment_edges.value = value
 
     def result(self) -> SimulationResult:
-        """The aggregate outcome; only valid once :attr:`finished`."""
+        """The aggregate outcome; only valid once every agent ended."""
         if self._active > 0:
             raise SimulationError(
                 f"simulation still has {self._active} active agent(s)"
@@ -660,7 +650,6 @@ class Simulation:
 
     def step_round(self) -> None:
         """Drain and execute exactly one event-round."""
-        self.last_step_divergence = None
         heap = self._heap
         round_ = self.next_event_round()
         if round_ is None:
@@ -797,7 +786,6 @@ class Simulation:
             if watch is not None:
                 triggered = watch_hit(watch, self._counts[self._pos[idx]])
                 if triggered:
-                    self.last_step_divergence = "watch"
                     self._c_watch_fires.value += 1
                     if self._emit is not None:
                         self._emit.emit(_EvWatchFired(
@@ -895,7 +883,6 @@ class Simulation:
         A dormant agent can crash too (it simply never wakes); dormant
         *neighbors* are not woken — a crash is a departure, not a visit.
         """
-        self.last_step_divergence = "fault"
         self._c_faults.value += 1
         node = self._pos[idx]
         self._state[idx] = _DONE
@@ -1007,18 +994,16 @@ class Simulation:
             # dynamic-edge runs plan scalar segments (which truncate
             # before any blocked edge) instead.
             return
-        try:
-            from . import cohort
-        except ImportError:  # pragma: no cover - cohort ships with sim
-            return
-        if not cohort.HAVE_NUMPY:
+        from . import segments
+
+        if not segments.HAVE_NUMPY:
             return
         self.route_cache = (
             self._route_cache_opt
             if self._route_cache_opt is not None
-            else cohort.route_cache_for(self.graph)
+            else segments.route_cache_for(self.graph)
         )
-        self._planner = cohort.plan_segment
+        self._planner = segments.plan_segment
 
     def _exec_walks(
         self,
@@ -1050,11 +1035,9 @@ class Simulation:
                 if scalar is not None:
                     self._apply_segment(walks, round_, *scalar)
                     return
-        # Per-edge / per-round fallback — the divergence the lockstep
-        # cohort ejects on.  Observers degrade first: their next-round
-        # heap events bound any later walker segment exactly like the
-        # one-round waits they are equivalent to.
-        self.last_step_divergence = "walk-fallback"
+        # Per-edge / per-round fallback.  Observers degrade first:
+        # their next-round heap events bound any later walker segment
+        # exactly like the one-round waits they are equivalent to.
         for idx, _remaining in observes:
             self._push(round_ + 1, idx)
         for idx, head, _steps, _pos, _watch in walks:
@@ -1067,7 +1050,7 @@ class Simulation:
         round_: int,
         plan,
     ) -> None:
-        """Commit a vectorized :class:`~repro.sim.cohort.SegmentPlan`.
+        """Commit a vectorized :class:`~repro.sim.segments.SegmentPlan`.
 
         Identical bookkeeping to :meth:`_apply_segment`, extended with
         stationary observers: an observer neither moves nor changes any
@@ -1083,9 +1066,7 @@ class Simulation:
         self._c_segment_edges.value += m * len(walks)
         if plan.watch_fired:
             # The segment's last edge fires a walk watch: the walk
-            # helper raises WatchTriggered at the resume and the
-            # agent's op stream leaves the planned route — eject.
-            self.last_step_divergence = "watch"
+            # helper raises WatchTriggered at the resume.
             self._c_watch_fires.value += 1
         for w, (idx, _head, _steps, _pos, _watch) in enumerate(walks):
             nodes, ents, degs, cards = plan.walkers[w]
@@ -1486,7 +1467,6 @@ class Simulation:
                 # A blocked move costs the round but not the edge: the
                 # agent stays put (no occupancy change, nothing to
                 # observe) and retries the same port next round.
-                self.last_step_divergence = "dynamics"
                 self._c_edges_blocked.value += 1
                 self._retry_move[idx] = port
                 if emit is not None:
@@ -1524,7 +1504,6 @@ class Simulation:
                     watch = self._watch[widx]
                     if watch is not None:
                         if watch_hit(watch, new_count):
-                            self.last_step_divergence = "watch"
                             self._reschedule(next_round, widx)
                     elif self._stable[widx] is not None:
                         self._reschedule(
@@ -1536,100 +1515,7 @@ class Simulation:
             if self._dormant_at[node]:
                 for didx in list(self._dormant_at[node]):
                     if self._state[didx] == _DORMANT:
-                        self.last_step_divergence = "dormant-wake"
                         self._reschedule(next_round, didx)
                         # Leave the agent in _dormant_at; _start_agent
                         # removes it, and the epoch bump above already
                         # invalidated any later adversary wake entry.
-
-    # ------------------------------------------------------------------
-    # Mid-trial state export / import (cohort ejection hand-off).
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Snapshot of the scheduler-array state.
-
-        Agent generators are deliberately *not* part of the snapshot
-        (Python generators cannot be copied); the cohort executor keeps
-        each trial's generators inside its own ``Simulation`` object
-        and uses this snapshot only to mirror, audit and re-install the
-        scheduler arrays around an ejection.
-        """
-        nxt: list[int | None] = [None] * len(self.specs)
-        for round_, _seq, idx, ep in self._heap:
-            if ep == self._epoch[idx] and self._state[idx] != _DONE:
-                if nxt[idx] is None or round_ < nxt[idx]:
-                    nxt[idx] = round_
-        return {
-            "positions": list(self._pos),
-            "entry_ports": list(self._entry_port),
-            "counts": list(self._counts),
-            "last_change": list(self._last_change),
-            "states": list(self._state),
-            "moves": [o.moves for o in self._outcomes],
-            "events": self._events,
-            "active": self._active,
-            "next_rounds": nxt,
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Re-install a snapshot from :meth:`export_state`.
-
-        Only the scheduler arrays are installed; lifecycle state, the
-        event heap and the agent generators must already agree with the
-        snapshot (validated below, :class:`SimulationError` on any
-        inconsistency).  Watching or dormant agents cannot be relocated
-        — the per-node watcher/dormant index sets are keyed by their
-        current positions.
-        """
-        k = len(self.specs)
-        n = self.graph.n
-        pos = list(state["positions"])
-        counts = list(state["counts"])
-        if (
-            len(pos) != k
-            or len(state["entry_ports"]) != k
-            or len(state["moves"]) != k
-            or len(counts) != n
-            or len(state["last_change"]) != n
-        ):
-            raise SimulationError("imported state has wrong dimensions")
-        if any(not isinstance(p, int) or p < 0 or p >= n for p in pos):
-            raise SimulationError("imported position out of range")
-        derived = [0] * n
-        crashed = self._crashed
-        for i, p in enumerate(pos):
-            # A crashed agent's last position is recorded but no longer
-            # occupied (unlike a declared agent's).
-            if crashed is None or not crashed[i]:
-                derived[p] += 1
-        if derived != counts:
-            raise SimulationError(
-                "imported counts are inconsistent with imported positions"
-            )
-        if list(state["states"]) != self._state:
-            raise SimulationError(
-                "imported lifecycle states do not match this simulation"
-            )
-        if state["active"] != self._active:
-            raise SimulationError(
-                "imported active count does not match this simulation"
-            )
-        for idx in range(k):
-            anchored = (
-                self._watch[idx] is not None
-                or self._stable[idx] is not None
-                or self._state[idx] == _DORMANT
-            )
-            if anchored and pos[idx] != self._pos[idx]:
-                raise SimulationError(
-                    f"agent {self.specs[idx].label} is watching or dormant "
-                    "and cannot be relocated by import_state"
-                )
-        self._pos = pos
-        self._entry_port = list(state["entry_ports"])
-        self._counts = counts
-        self._last_change = list(state["last_change"])
-        for out, moved in zip(self._outcomes, state["moves"]):
-            out.moves = moved
-        self._events = state["events"]

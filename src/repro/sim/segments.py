@@ -1,43 +1,22 @@
-"""Lockstep trial cohorts and the numpy-vectorized segment planner.
+"""The numpy-vectorized segment planner and its route cache.
 
-Two related fast paths live here, both strictly optional (the scalar
-scheduler remains complete without numpy) and both bound by the same
-contract as the segment planner itself: **byte-identity** with per-step
-execution, checked by the differential suite against
-:mod:`repro.sim.reference`.
+The scalar planner in :mod:`repro.sim.scheduler` re-chases every walk
+route step by step in Python on every segment.  Routes, however, are
+pure functions of ``(graph, plan, position in plan, node, exit port)``
+— so a :class:`RouteCache` chases each distinct start state once,
+registers every suffix of the chase (the continuation from any
+mid-plan state is a suffix of the same chase), and serves numpy array
+views thereafter.  :func:`plan_segment` then computes truncation
+bounds, exact per-arrival CurCards, watch evaluation and
+``last_change`` updates as vector operations over those views.  The
+planner also understands stationary ``observe`` cohort members (see
+:mod:`repro.sim.ops`), which is what lets ``StarCheck``'s waiters
+share a segment with the dancing agent.
 
-1. **Vectorized segment planning** (:func:`plan_segment`).  The scalar
-   planner in :mod:`repro.sim.scheduler` re-chases every walk route
-   step by step in Python on every segment.  Routes, however, are pure
-   functions of ``(graph, plan, position in plan, node, exit port)`` —
-   so a :class:`RouteCache` chases each distinct start state once,
-   registers every suffix of the chase (the continuation from any
-   mid-plan state is a suffix of the same chase), and serves numpy
-   array views thereafter.  Truncation bounds, exact per-arrival
-   CurCards, watch evaluation and ``last_change`` updates are then
-   vector operations over those views.  The planner also understands
-   stationary ``observe`` cohort members (see :mod:`repro.sim.ops`),
-   which is what lets ``StarCheck``'s waiters share a segment with the
-   dancing agent.
-
-2. **Lockstep cohorts** (:class:`CohortScheduler`).  K same-graph
-   trials advance one event-round at a time in lockstep, with the
-   scheduler state mirrored in ``(K, ·)`` numpy arrays — agent
-   positions, CurCard counters, ``last_change`` and wake rounds — used
-   for frontier selection and divergence auditing.  The moment a trial
-   diverges (a watch fires, a walk segment falls back to per-edge
-   execution, a dormant agent is woken, trace mode, or any error) it
-   is *ejected*: its mirror row is verified against the scalar
-   scheduler's exported state, re-imported, and the very same
-   :class:`~repro.sim.scheduler.Simulation` object runs to completion
-   on the scalar path.  Python generators cannot be snapshotted, so
-   mid-trial state never leaves its ``Simulation``; the export/import
-   hooks carry the *scheduler arrays* (positions, counts,
-   ``last_change``, entry ports, events), which is exactly what the
-   cohort mirrors and what the ejection hand-off re-validates.
-
-Round-valued arrays use ``dtype=object``: the unknown-bound algorithm
-runs clocks past ``2**64`` and rounds must stay exact big ints.
+The planner is strictly optional (the scalar scheduler remains
+complete without numpy) and bound by the scalar planner's contract:
+**byte-identity** with per-step execution, checked by the differential
+suite against :mod:`repro.sim.reference` under both planners.
 """
 
 from __future__ import annotations
@@ -50,22 +29,10 @@ try:
 except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
-from ..events.types import CohortEject as _EvCohortEject
 from ..graphs.port_graph import PortGraph
-from ..metrics import registry as _metrics_registry
-from .ops import SimulationError
-from .scheduler import _DONE, Simulation, SimulationResult
+from .scheduler import _DONE, Simulation
 
 HAVE_NUMPY = np is not None
-
-
-class CohortDesyncError(SimulationError):
-    """The cohort's mirror arrays disagree with a trial's scheduler.
-
-    Raised at ejection hand-off; indicates an internal bookkeeping bug
-    (the mirrors are refreshed from ``export_state`` after every step),
-    never a model outcome.
-    """
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +144,9 @@ class RouteCache:
 
 
 # Shared per-graph caches: trials executed on the same graph object
-# (the pipelined backend's batches, cohort members) reuse chased
-# routes automatically.  Keyed by id with a strong graph reference —
-# PortGraph has no __weakref__ slot — and LRU-bounded.
+# (the pipelined backend's batches) reuse chased routes automatically.
+# Keyed by id with a strong graph reference — PortGraph has no
+# __weakref__ slot — and LRU-bounded.
 _GRAPH_CACHES: OrderedDict[int, tuple[PortGraph, RouteCache]] = OrderedDict()
 _GRAPH_CACHE_CAP = 8
 
@@ -235,7 +202,7 @@ class SegmentPlan:
     as an ``(W, m+1)`` int64 matrix for the last_change update.
     ``watch_fired`` marks a segment whose last edge fires a walk
     watch — the walk helper will raise :class:`WatchTriggered` at the
-    resume, a divergence the lockstep cohort ejects on.
+    resume.
     """
 
     __slots__ = ("m", "walkers", "observer_cards", "_nodes", "watch_fired")
@@ -365,11 +332,6 @@ def plan_segment(
         gap = (sim.max_events - sim._events) // cohort + 1
         if gap < m:
             m = gap
-    if sim._dynamics is not None:
-        # Cached routes know nothing about per-round edge liveness;
-        # dynamic-edge trials run per-step (and the cohort ejects them
-        # up front, like trace mode).
-        return None
     if sim._fault_queue is not None:
         # A crash is processed at the *start* of its round (unlike
         # moves, which commit at the end), so any arrival card planned
@@ -502,196 +464,3 @@ def plan_segment(
         m, walkers, observer_cards, nodes_matrix, watch_fired
     )
 
-
-# ----------------------------------------------------------------------
-# Lockstep cohort execution.
-# ----------------------------------------------------------------------
-
-class CohortOutcome:
-    """Per-trial outcome of a cohort run.
-
-    Exactly one of ``result`` / ``error`` is set; ``ejected`` is the
-    divergence tag when the trial left the lockstep loop (``None`` for
-    trials that completed inside it).
-    """
-
-    __slots__ = ("result", "error", "ejected")
-
-    def __init__(self, result=None, error=None, ejected=None) -> None:
-        self.result: SimulationResult | None = result
-        self.error: BaseException | None = error
-        self.ejected: str | None = ejected
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        status = "ok" if self.error is None else f"error={self.error!r}"
-        return f"CohortOutcome({status}, ejected={self.ejected})"
-
-
-# Mirror fields refreshed from Simulation.export_state after each step
-# and re-verified at ejection.
-_MIRROR_FIELDS = ("positions", "counts", "last_change", "events")
-
-
-class CohortScheduler:
-    """Run K same-graph trials in lockstep, ejecting on divergence.
-
-    Every trial is a fully built :class:`Simulation` (its agent
-    generators live nowhere else); the cohort holds the *scheduler*
-    state of all K trials as ``(K, ·)`` numpy arrays and advances the
-    frontier — the minimum next-event round across live trials — one
-    event-round at a time.  Ejection rules (divergence from the vector
-    path): a fired watch, a walk-segment fallback, a dormant wake-up,
-    trace mode, an injected crash fault, a blocked dynamic edge, or any
-    raised error.  A crash updates occupancy before the mirror refresh
-    and a blocked move changes no state at all, so the hand-off audit
-    holds for both.  An ejected trial's mirror row is
-    verified against ``export_state()``, re-imported through
-    ``import_state()``, and the trial finishes on the scalar path —
-    the same object, so results are byte-identical by construction
-    (and re-checked against the reference oracle by the test suite).
-    """
-
-    def __init__(self, graph: PortGraph, sims: list[Simulation]) -> None:
-        if np is None:  # pragma: no cover - numpy is baked into the image
-            raise SimulationError("cohort execution requires numpy")
-        if not sims:
-            raise SimulationError("empty cohort")
-        for sim in sims:
-            if sim.graph is not graph:
-                raise SimulationError(
-                    "cohort trials must share one graph object"
-                )
-        self.graph = graph
-        self.sims = sims
-        k = len(sims)
-        n = graph.n
-        amax = max(len(sim.specs) for sim in sims)
-        # (K, ·) mirrors.  Rounds are exact big ints -> object dtype.
-        self.positions = np.full((k, amax), -1, dtype=np.int64)
-        self.counts = np.zeros((k, n), dtype=np.int64)
-        self.last_change = np.zeros((k, n), dtype=object)
-        self.wake_rounds = np.full((k, amax), None, dtype=object)
-        self.next_rounds = np.full(k, None, dtype=object)
-        self.events = np.zeros(k, dtype=object)
-        self.ejected: list[str | None] = [None] * k
-        self._outcomes: list[CohortOutcome | None] = [None] * k
-        self._mx = _metrics_registry.current()
-        for i, sim in enumerate(sims):
-            for a, spec in enumerate(sim.specs):
-                self.wake_rounds[i, a] = spec.wake_round
-            self._refresh(i, sim)
-
-    # -- mirror bookkeeping -------------------------------------------
-
-    def _refresh(self, i: int, sim: Simulation) -> None:
-        # Straight off the scheduler arrays: a full export_state()
-        # per step would rescan the event heap, and the mirrors only
-        # track what export_state would copy anyway (the snapshot is
-        # still taken — and audited against these rows — at ejection).
-        pos = sim._pos
-        self.positions[i, :len(pos)] = pos
-        self.counts[i] = sim._counts
-        self.last_change[i] = sim._last_change
-        self.events[i] = sim._events
-
-    def _verify_row(self, i: int, state: dict) -> None:
-        k = len(state["positions"])
-        mirror = {
-            "positions": self.positions[i, :k].tolist(),
-            "counts": self.counts[i].tolist(),
-            "last_change": self.last_change[i].tolist(),
-            "events": int(self.events[i]),
-        }
-        for field in _MIRROR_FIELDS:
-            if mirror[field] != state[field]:
-                raise CohortDesyncError(
-                    f"cohort trial {i}: mirrored {field} diverged from "
-                    f"the scheduler ({mirror[field]!r} != {state[field]!r})"
-                )
-
-    # -- main loop -----------------------------------------------------
-
-    def run(self) -> list[CohortOutcome]:
-        """Execute all trials; never raises for per-trial failures."""
-        sims = self.sims
-        k = len(sims)
-        for i, sim in enumerate(sims):
-            if sim.trace:
-                # Per-edge move logs are exactly what the vector path
-                # does not track: straight to the scalar scheduler.
-                self.ejected[i] = "trace"
-        lockstep_rounds = 0
-        while True:
-            live = [
-                i for i in range(k)
-                if self._outcomes[i] is None and self.ejected[i] is None
-            ]
-            if not live:
-                break
-            lockstep_rounds += 1
-            for i in live:
-                self.next_rounds[i] = sims[i].next_event_round()
-            # An empty heap with live agents is a deadlock; step those
-            # trials immediately so they raise the scalar error.
-            due = [i for i in live if self.next_rounds[i] is None]
-            if not due:
-                frontier = min(self.next_rounds[i] for i in live)
-                due = [i for i in live if self.next_rounds[i] == frontier]
-            for i in due:
-                self._step(i)
-        self._finish_ejected()
-        if self._mx is not None:
-            # One flush per cohort; eject causes are a bounded label
-            # set (the divergence tags), so cardinality stays small.
-            mx = self._mx
-            mx.counter("sim.cohort.runs").value += 1
-            mx.histogram("sim.cohort.size").observe(k)
-            mx.counter("sim.cohort.rounds").value += lockstep_rounds
-            for tag in self.ejected:
-                if tag is not None:
-                    mx.counter("sim.cohort.ejects", reason=tag).value += 1
-        return [out for out in self._outcomes if True]  # type: ignore[misc]
-
-    def _step(self, i: int) -> None:
-        sim = self.sims[i]
-        try:
-            sim.step_round()
-        except Exception as exc:
-            self._outcomes[i] = CohortOutcome(error=exc)
-            return
-        if sim.finished:
-            self._outcomes[i] = CohortOutcome(result=sim.result())
-            return
-        self._refresh(i, sim)
-        tag = sim.last_step_divergence
-        if tag is not None:
-            self.ejected[i] = tag
-
-    def _finish_ejected(self) -> None:
-        for i, sim in enumerate(self.sims):
-            if self._outcomes[i] is not None:
-                continue
-            tag = self.ejected[i]
-            if tag is not None and sim._emit is not None:
-                # The eject path is observable: emit through the
-                # trial's own dispatcher before the scalar resume.
-                sim._emit.emit(_EvCohortEject(trial=i, reason=tag))
-            try:
-                if tag != "trace":
-                    # Hand-off audit: the mirror row must agree with
-                    # the scheduler before the trial resumes scalar.
-                    state = sim.export_state()
-                    self._verify_row(i, state)
-                    sim.import_state(state)
-                result = sim.run()
-            except Exception as exc:
-                self._outcomes[i] = CohortOutcome(error=exc, ejected=tag)
-            else:
-                self._outcomes[i] = CohortOutcome(result=result, ejected=tag)
-
-
-def run_cohort(
-    graph: PortGraph, sims: list[Simulation]
-) -> list[CohortOutcome]:
-    """Convenience wrapper: build a :class:`CohortScheduler` and run it."""
-    return CohortScheduler(graph, sims).run()

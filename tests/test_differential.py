@@ -1,10 +1,11 @@
 """Differential testing: event-compressed scheduler vs naive reference.
 
 Randomized agent scripts (moves, multi-edge walks, watched waits,
-stability waits) run on both the production scheduler
-(:mod:`repro.sim.scheduler`) and the independent round-by-round
-reference (:mod:`repro.sim.reference`).  The two runs must agree
-*byte for byte*: every field of every :class:`AgentOutcome`, the
+stability waits) run on the production scheduler
+(:mod:`repro.sim.scheduler`) — once with the vectorized segment
+planner and once with the scalar one — and on the independent
+round-by-round reference (:mod:`repro.sim.reference`).  All runs must
+agree *byte for byte*: every field of every :class:`AgentOutcome`, the
 ``events`` counter (the fast path counts a virtual resume per walked
 edge), the trace-mode ``move_log``, and — where budgets bite — the
 exception type and message.  This is the strongest check that walk
@@ -138,6 +139,11 @@ def _specs(scripts, wakes, starts=None):
     ]
 
 
+# Production planner legs: ``route_cache=None`` binds the vectorized
+# numpy planner, ``route_cache=False`` forces the scalar one.
+PLANNERS = (None, False)
+
+
 def run_both(
     graph,
     scripts,
@@ -151,46 +157,46 @@ def run_both(
 ):
     """Run the same scenario on both schedulers (trace mode).
 
-    ``dynamics`` is a factory ``graph -> EdgeDynamics`` so each
-    scheduler gets its own instance.  Returns ``(fast_sim,
-    fast_outcome), (ref_sim, ref_outcome)`` where each outcome is
-    either a :class:`SimulationResult` or the raised exception.
+    The production scheduler runs once per planner leg in
+    :data:`PLANNERS`, so every scenario pins the vectorized and the
+    scalar planner against the reference (and so against each other).
+    ``dynamics`` is a factory ``graph -> EdgeDynamics`` so each run
+    gets its own instance.  Returns one ``(sim, outcome)`` pair per
+    planner leg followed by the reference's pair, where each outcome
+    is either a :class:`SimulationResult` or the raised exception.
     """
-    fast = Simulation(
-        graph,
-        _specs(scripts, wakes, starts),
-        max_events=max_events,
-        max_round=max_round,
-        trace=True,
-        faults=faults,
-        dynamics=None if dynamics is None else dynamics(graph),
-        horizon=horizon,
-    )
-    try:
-        fast_out = fast.run()
-    except Exception as exc:  # compared against the reference's error
-        fast_out = exc
-    ref = ReferenceSimulation(
-        graph,
-        _specs(scripts, wakes, starts),
-        max_events=max_events,
-        max_round=max_round,
-        trace=True,
-        faults=faults,
-        dynamics=None if dynamics is None else dynamics(graph),
-        horizon=horizon,
-    )
-    try:
-        ref_out = ref.run()
-    except Exception as exc:
-        ref_out = exc
-    return (fast, fast_out), (ref, ref_out)
+    runs = [(Simulation, {"route_cache": rc}) for rc in PLANNERS]
+    runs.append((ReferenceSimulation, {}))
+    pairs = []
+    for sim_cls, extra in runs:
+        sim = sim_cls(
+            graph,
+            _specs(scripts, wakes, starts),
+            max_events=max_events,
+            max_round=max_round,
+            trace=True,
+            faults=faults,
+            dynamics=None if dynamics is None else dynamics(graph),
+            horizon=horizon,
+            **extra,
+        )
+        try:
+            out = sim.run()
+        except Exception as exc:  # compared against the reference's error
+            out = exc
+        pairs.append((sim, out))
+    return pairs
 
 
-def assert_equivalent(fast_pair, ref_pair):
-    """Byte-for-byte equality of results, events and move logs."""
-    fast, fast_out = fast_pair
-    ref, ref_out = ref_pair
+def assert_equivalent(*pairs):
+    """Byte-for-byte equality of every planner leg with the reference
+    (the last pair): results, events and move logs."""
+    ref, ref_out = pairs[-1]
+    for fast, fast_out in pairs[:-1]:
+        _assert_pair_equivalent(fast, fast_out, ref, ref_out)
+
+
+def _assert_pair_equivalent(fast, fast_out, ref, ref_out):
     if isinstance(fast_out, Exception) or isinstance(ref_out, Exception):
         assert type(fast_out) is type(ref_out), (fast_out, ref_out)
         assert str(fast_out) == str(ref_out)

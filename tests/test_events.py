@@ -2,10 +2,9 @@
 
 Pins the observability contract of this PR: what the scheduler and
 runner emit (and in which order), that an unobserved run emits
-nothing and stays byte-identical, that cohort members emit the same
-per-simulation stream the scalar scheduler does (plus the
-``CohortEject`` marker), and that the JSONL trace round-trips through
-``python -m repro trace``.
+nothing and stays byte-identical, that traces written by older
+releases (``CohortEject`` lines included) still validate, and that the
+JSONL trace round-trips through ``python -m repro trace``.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import io
 import json
 import threading
-
-import pytest
 
 from repro.core import run_gather_known
 from repro.events import (
@@ -189,50 +186,31 @@ class TestMoveLogParity:
         assert sorted(expanded, key=key) == sorted(sim.move_log, key=key)
 
 
-class TestCohortParity:
-    """Cohort members emit what the scalar scheduler emits."""
+class TestLegacyCohortEject:
+    """Version-1 traces from releases that still ran lockstep cohorts."""
 
-    def scenario_sims(self, graph, events=None):
-        # A mover steps onto a watched waiter: fires a watch, ejects.
-        from test_cohort import build_sim, watch_fire_scenario
-
-        scenario = watch_fire_scenario(graph)
-        return build_sim(graph, scenario, events=events)
-
-    def test_eject_emits_marker_and_matches_scalar(self):
-        pytest.importorskip("numpy")
-        from repro.sim.cohort import run_cohort
-
-        graph = ring(6)
-        # Each simulation gets its own dispatcher, so per-simulation
-        # streams stay separable even though the cohort interleaves.
-        cohort_collectors = [ListProcessor() for _ in range(3)]
-        sims = [
-            self.scenario_sims(graph, events=EventDispatcher([c]))
-            for c in cohort_collectors
-        ]
-        outcomes = run_cohort(graph, sims)
-        assert all(o.ejected == "watch" for o in outcomes)
-
-        scalar_collector = ListProcessor()
-        scalar = self.scenario_sims(
-            graph, events=EventDispatcher([scalar_collector])
+    def test_v1_trace_with_cohort_eject_validates(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        trace = JsonlTraceProcessor(path, source="test")
+        with event_stream.attached(trace):
+            run_gather_known(ring(5, seed=3), [1, 2], 5)
+        eject = json.dumps(
+            to_payload(CohortEject(trial=0, reason="watch")),
+            sort_keys=True, separators=(",", ":"),
         )
-        scalar.run()
-        scalar.result()
-        scalar_payloads = [
-            to_payload(e) for e in scalar_collector.events
-        ]
-        for i, collector in enumerate(cohort_collectors):
-            ejects = collector.of_type(CohortEject)
-            assert [e.reason for e in ejects] == ["watch"]
-            assert ejects[0].trial == i
-            payloads = [
-                to_payload(e)
-                for e in collector.events
-                if not isinstance(e, CohortEject)
-            ]
-            assert payloads == scalar_payloads
+        lines = path.read_text().splitlines()
+        # Old cohort runs emitted the marker right after the member's
+        # SimulationStart (line 1 is the header).
+        lines.insert(2, eject)
+        path.write_text("\n".join(lines) + "\n")
+        report = validate_trace(path)
+        assert report.ok, report.errors
+        header, payloads = load_trace(path)
+        assert header["version"] == 1
+        assert from_payload(payloads[1]) == CohortEject(
+            trial=0, reason="watch"
+        )
+        assert round_trip(payloads) == len(payloads)
 
 
 class TestDispatcher:
@@ -433,7 +411,7 @@ class TestRunnerByteIdentity:
 
 
 class TestSceneExtraction:
-    """``extract_scenes`` on traces with cohort and watch events."""
+    """``extract_scenes`` on traces with legacy and watch events."""
 
     def gather_payloads(self):
         _report, events = run_collected(
@@ -495,40 +473,15 @@ class TestSceneExtraction:
         ) - len(stray)
 
     def test_cohort_eject_trace_builds_scalar_identical_scene(self):
-        # CohortEject is a recognized sim event but expands to no
-        # moves: a cohort member's trace renders the same scene as the
-        # scalar run of the same scenario.
-        pytest.importorskip("numpy")
-        from test_cohort import build_sim, watch_fire_scenario
-
-        from repro.sim.cohort import run_cohort
-
-        graph = ring(6)
-        collectors = [ListProcessor() for _ in range(3)]
-        sims = [
-            build_sim(
-                graph, watch_fire_scenario(graph),
-                events=EventDispatcher([c]),
-            )
-            for c in collectors
-        ]
-        outcomes = run_cohort(graph, sims)
-        assert all(o.ejected == "watch" for o in outcomes)
-
-        scalar_collector = ListProcessor()
-        scalar = build_sim(
-            graph, watch_fire_scenario(graph),
-            events=EventDispatcher([scalar_collector]),
+        # CohortEject (from traces of older releases) is a recognized
+        # sim event but expands to no moves: splicing one into a trace
+        # leaves its scene unchanged.
+        _events, payloads = self.gather_payloads()
+        spliced = (
+            payloads[:1]
+            + [to_payload(CohortEject(trial=0, reason="watch"))]
+            + payloads[1:]
         )
-        scalar.run()
-        scalar.result()
-        (scalar_scene,) = extract_scenes(
-            [to_payload(e) for e in scalar_collector.events]
-        )
-
-        for collector in collectors:
-            payloads = [to_payload(e) for e in collector.events]
-            assert any(p["type"] == "CohortEject" for p in payloads)
-            (scene,) = extract_scenes(payloads)
-            assert scene == scalar_scene
-            assert scene["frames"]  # the scenario does move agents
+        (scene,) = extract_scenes(spliced)
+        assert scene == extract_scenes(payloads)[0]
+        assert scene["frames"]  # the run does move agents

@@ -315,31 +315,32 @@ class TestSchedulerIntegration:
             == stats["seq_hits"]
         )
 
-    def test_cohort_metrics(self):
-        pytest.importorskip("numpy")
-        from repro.runner.worker import execute_trial_batch, shared_graph
-        from repro.runner.spec import TrialSpec
-
-        trials = [
-            TrialSpec(
-                key=f"t{seed}", algorithm="gather_known", family="ring",
-                n=5, n_bound=5, labels=(1, 2), messages=None, seed=seed,
-                graph_seed=7, placement="default",
-                wake_schedule="simultaneous", adversary="fixed",
+    def test_pipelined_trial_counters_match_serial(self):
+        # Same-graph batches (one failing trial included: duplicate
+        # labels) count exactly the trials and simulations the serial
+        # backend counts.
+        spec = make_spec(
+            sizes=(6,), label_sets=((1, 2), (3, 1), (2, 2)), seeds=(0, 1),
+            placements=("spread", "eccentric"), graph_seed_mode="fixed",
+        )
+        snaps = {}
+        for backend in ("serial", "pipelined"):
+            reg = Registry(backend)
+            with metrics_registry.attached(reg):
+                run_experiment(spec, backend=backend)
+            snaps[backend] = reg.snapshot()
+        for status in ("ok", "failed"):
+            assert counter_value(
+                snaps["pipelined"], "runner.trials.executed", status=status
+            ) == counter_value(
+                snaps["serial"], "runner.trials.executed", status=status
             )
-            for seed in (0, 1)
-        ]
-        reg = Registry("t")
-        with metrics_registry.attached(reg):
-            graph = shared_graph(trials[0])
-            results = execute_trial_batch(trials, graph=graph)
-        assert all(r.ok for r in results)
-        snap = reg.snapshot()
-        assert counter_value(snap, "sim.cohort.runs") == 1
-        rows = series_by_name(snap)
-        assert rows[("sim.cohort.size", ())]["count"] == 1
-        assert counter_value(snap, "sim.cohort.rounds") > 0
-        assert sum_counters(snap, "runner.trials.executed") == 2
+        assert counter_value(snaps["serial"], "runner.trials.executed",
+                             status="failed") > 0
+        for name in ("sim.runs", "sim.events", "sim.walk.segments"):
+            assert sum_counters(snaps["pipelined"], name) == sum_counters(
+                snaps["serial"], name
+            )
 
 
 class TestNeverAffectsResults:
