@@ -1,4 +1,4 @@
-"""Ablations of our design choices (DESIGN.md Section 6, last block).
+"""Ablations of our design choices.
 
 * AB1 — exploration-sequence length: gathering time is linear in
   T(EXPLO(N)), so certified-short sequences are the single biggest

@@ -2,7 +2,7 @@
 
 * E6 — feasibility: the zero-knowledge algorithm gathers, elects the
   smallest label and learns the graph size, executed literally on
-  2-node networks (the feasibility envelope, DESIGN.md Section 4).
+  2-node networks (the feasibility envelope).
 * E7 — the hypothesis schedule grows (doubly) exponentially: measured
   declaration clocks against the closed-form T_h, and the size-3 wall.
 """

@@ -4,7 +4,7 @@
   explicit bound P(N, i), across graphs, labels and start offsets.
 * A1 — event-compression ablation: the simulated-rounds /
   scheduler-events ratio that makes the doubly-exponential algorithm
-  executable (DESIGN.md Section 4).
+  executable.
 * A2 — raw scheduler throughput (events per second).
 """
 

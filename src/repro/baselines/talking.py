@@ -5,7 +5,7 @@ algorithm assumed: co-located agents can exchange all currently
 available information — in particular they see each other's labels.
 This baseline implements the classic merge-and-follow-the-minimum
 strategy in that model, as the reference point for the cost-of-silence
-experiment (E9 in DESIGN.md):
+experiment (``benchmarks/bench_baselines.py``):
 
 * phase 0: ``EXPLO(N)`` + wait (wake everybody, as in Algorithm 3);
 * every agent runs ``TZ`` parameterised by the smallest label of its

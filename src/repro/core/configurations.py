@@ -7,7 +7,7 @@ labels — node ``v`` labelled ``L`` means "agent ``L`` starts at ``v``".
 ordering Ω = (phi_1, phi_2, ...) of all configurations, testing the
 hypothesis "the real configuration is phi_h" one index at a time.
 
-Two complete enumerations are provided (DESIGN.md Section 7, item 4):
+Two complete enumerations are provided:
 
 * :class:`DovetailOmega` — the straightforward dovetail by *weight*
   ``W = n + max_label``: small graphs with small labels first.
@@ -16,8 +16,8 @@ Two complete enumerations are provided (DESIGN.md Section 7, item 4):
   ``stride``.  Any fixed enumeration is admissible per the paper
   ("an arbitrarily fixed enumeration"); this one keeps runs with
   2-node networks and larger labels inside the feasibility envelope
-  (executing even one size-3 hypothesis costs ``2**244`` moves — see
-  DESIGN.md Section 4).
+  (executing even one size-3 hypothesis costs ``2**244`` moves, see
+  :class:`repro.core.unknown_parameters.InfeasibleHypothesisError`).
 """
 
 from __future__ import annotations

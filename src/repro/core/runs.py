@@ -435,8 +435,9 @@ def run_gather_unknown(
     The agents receive *no* knowledge about the graph; they walk the
     enumeration ``omega`` (default: :class:`DovetailOmega`).  The
     wrapper pre-checks that the true configuration's Ω-prefix is
-    executable (every earlier hypothesis has ``n_h = 2``; see DESIGN.md
-    Section 4 for why size-3 hypotheses are beyond any computer).
+    executable (every earlier hypothesis has ``n_h = 2``; see
+    :class:`~repro.core.unknown_parameters.InfeasibleHypothesisError`
+    for why size-3 hypotheses are beyond any computer).
     """
     return prepare_gather_unknown(
         graph,

@@ -16,8 +16,9 @@ the largest supposed size so far):
   length ``n_h**5 + 1``.
 
 These numbers are astronomically large (``T_1`` is about ``2**295``
-already) — the event-driven clock (DESIGN.md Section 4) is what makes
-them executable.  The one substitution is ``T(EST(n))``: the paper
+already) — the event-driven clock, which runs a multi-round wait as
+one scheduler event (:mod:`repro.sim.ops`), is what makes them
+executable.  The one substitution is ``T(EST(n))``: the paper
 assumes a black-box bound ``n**5`` from [12]; we use the explicit
 budget of our EST implementation (:func:`repro.explore.est.est_budget`,
 same ``O(n**5)`` shape).  ``check_invariants`` asserts every dominance
@@ -33,9 +34,9 @@ from .configurations import Configuration
 
 class InfeasibleHypothesisError(RuntimeError):
     """Executing this hypothesis would need more moves than any
-    computer can perform (see DESIGN.md Section 4: for ``n_h >= 3``
-    the ball traversal alone enumerates ``(n_h - 1)**(4 h m_h**5)``
-    paths)."""
+    computer can perform: for ``n_h >= 3`` the ball traversal alone
+    enumerates ``(n_h - 1)**(4 h m_h**5)`` paths, and the event-driven
+    clock compresses waits, not moves."""
 
 
 class UnknownBoundSchedule:

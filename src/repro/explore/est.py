@@ -8,7 +8,9 @@ waiting co-located agents, so "the token is here" is exactly
 ``CurCard > 1`` (a *clean* exploration guarantees the explorer meets
 agents only at the token node).
 
-Our construction — **UXS-signature map building** (DESIGN.md Section 3):
+The paper uses that procedure as a black box with an ``n**5`` bound;
+our construction — **UXS-signature map building** — reuses the
+certified exploration sequences of :mod:`repro.explore.uxs` instead:
 
 * The *signature* of a node ``v`` is the trace ``(degree, entry_port,
   token_flag)`` observed while walking the exploration sequence

@@ -6,7 +6,8 @@ offsets ``x_1, x_2, ...`` such that an agent entering a node of degree
 ``d`` by port ``p`` exits by port ``q = (p + x_i) mod d``.  Reingold's
 construction [36] guarantees polynomial-length sequences; rebuilding
 that construction is out of the paper's scope, so we substitute
-*certified* sequences (see DESIGN.md Section 3):
+*certified* sequences, which give the same walk semantics and only
+change how universality is established:
 
 * for ``N <= 4`` the pinned sequences below are verified against
   **every** connected port-labelled graph of size at most ``N``
@@ -118,10 +119,12 @@ def walk_ports(
 ) -> list[int]:
     """Exit ports taken when walking ``sequence`` from ``start``.
 
-    Both walk helpers (and the scheduler's segment planner) share the
-    step iterator in :mod:`repro.sim.ops`, so offline certification,
-    agent-side walks and the fast path cannot disagree on step
-    semantics.
+    Every walk helper here (and so offline certification and the
+    pre-flight check) goes through the step iterator
+    :func:`repro.sim.ops.iter_walk`.  The scheduler's segment planner
+    (``Simulation._plan_segment``) and ``RouteCache._chase`` walk
+    ``graph._adj`` inline instead; the differential suite checks them
+    against the reference scheduler.
     """
     return [
         port
@@ -143,12 +146,32 @@ def nodes_visited(
     return visited
 
 
+def _covers_from(graph: PortGraph, start: int, steps: tuple[int, ...]) -> bool:
+    """Does the walk plan visit every node of ``graph`` from ``start``?
+
+    The walk stops as soon as every node has been seen: the visited set
+    only grows along a walk, so the rest of the plan cannot change the
+    answer.
+    """
+    visited = {start}
+    walk = iter_walk(graph, start, steps)
+    while len(visited) < graph.n:
+        step = next(walk, None)
+        if step is None:
+            return False
+        visited.add(step[1])
+    return True
+
+
 def is_universal_for(graph: PortGraph, sequence: tuple[int, ...]) -> bool:
-    """Does the sequence visit all nodes from *every* start node?"""
-    return all(
-        len(nodes_visited(graph, start, sequence)) == graph.n
-        for start in graph.nodes()
-    )
+    """Does the sequence visit all nodes from *every* start node?
+
+    Same verdict as checking :func:`nodes_visited` from every start,
+    but the sequence is encoded once and each walk ends at full
+    coverage (typically a small prefix of a sampled sequence).
+    """
+    steps = uxs_walk_steps(sequence)
+    return all(_covers_from(graph, start, steps) for start in graph.nodes())
 
 
 def generate_sequence(length: int, seed: int) -> tuple[int, ...]:
@@ -281,7 +304,10 @@ class UXSProvider:
 
         Called by the simulation front-ends for every graph they run,
         which turns the probabilistic tail-risk of a generated sequence
-        into a deterministic, loud failure.
+        into a deterministic, loud failure.  Each start node's walk
+        stops once it has covered the graph; coverage only grows along
+        a walk, so the verdict is the one a walk of the whole sequence
+        would give.
         """
         if graph.n > n:
             raise UniversalityError(

@@ -12,7 +12,8 @@ Agent programs are Python generators that yield primitive ops; the
 scheduler resumes them with :class:`Observation` objects.  A multi-round
 ``wait`` is a single op: the scheduler compresses the intervening
 rounds, which is what makes the doubly-exponential waiting periods of
-``GatherUnknownUpperBound`` executable (see DESIGN.md Section 4).
+``GatherUnknownUpperBound`` executable: however many rounds it spans,
+an uninterrupted wait costs one scheduler event.
 
 Watches
 -------
@@ -114,8 +115,10 @@ def iter_walk(graph, start: int, steps, entry: int | None = None):
     Resolves a walk plan against a concrete graph from ``start`` with
     initial rule state ``entry``, stopping before the first absolute
     step that is not a valid port.  Used by the UXS helpers
-    (:mod:`repro.explore.uxs`), the scheduler's segment planner and the
-    reference scheduler, so all three agree on step semantics.
+    (:mod:`repro.explore.uxs`), including the pre-flight coverage
+    check.  The scheduler's segment planner and ``RouteCache`` walk
+    ``graph._adj`` inline for speed; the agent-side helpers call
+    :func:`resolve_walk_step` directly.
     """
     node = start
     for step in steps:

@@ -4,7 +4,8 @@ The agents receive no knowledge whatsoever; the theorem promises that
 all of them declare gathering in the same round at the same node, and
 that each finishes knowing the graph size and the (smallest-label)
 leader.  The run wrapper validates all of that; these tests exercise
-the feasibility envelope (2-node networks; see DESIGN.md Section 4)
+the feasibility envelope (2-node networks; see
+``InfeasibleHypothesisError`` for why size 3 is out of reach)
 across label choices, enumerations and wake-up schedules.
 """
 

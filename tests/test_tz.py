@@ -1,6 +1,6 @@
 """Tests for the TZ rendezvous construction.
 
-The central property (DESIGN.md Section 3, used by Lemma 3.3's proof):
+The central property (used by Lemma 3.3's proof):
 two groups running ``TZ`` with *distinct* transformed labels, started
 at most ``T(EXPLO(N))/2`` rounds apart, meet within ``P(N, i)`` rounds
 — where both labels fit the phase-``i`` bound.  The property test

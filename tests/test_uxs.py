@@ -1,8 +1,10 @@
 """Certification tests for the universal exploration sequences.
 
-These are the tests that make the UXS substitution (DESIGN.md Section
-3) sound: the pinned sequences are re-verified exhaustively and the
-sampled defaults are re-verified against the benchmark families.
+These are the tests that make the UXS substitution (certified
+sequences instead of Reingold's construction) sound: the pinned
+sequences are re-verified exhaustively, the sampled defaults are
+re-verified against the benchmark families, and the early-exit
+coverage check is pinned to the full-walk definition.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ from repro.graphs import (
     random_connected_graph,
     single_edge,
 )
+from repro.runner.spec import ExperimentSpec
+from repro.runner.trial import _build_graph
+
+
+def _covered_from_every_start(graph, sequence) -> bool:
+    """The definition ``is_universal_for`` must match: full walks."""
+    return all(
+        len(nodes_visited(graph, start, sequence)) == graph.n
+        for start in graph.nodes()
+    )
 
 
 class TestWalkMechanics:
@@ -126,3 +138,62 @@ class TestProvider:
         p.pin(4, (0,))  # far too short for 4-node graphs
         with pytest.raises(UniversalityError):
             p.verify_for_graph(4, random_connected_graph(4, seed=1))
+
+
+class TestCoverageCheckStrictness:
+    """An early exit that skips a start node must not pass."""
+
+    @staticmethod
+    def _talking_graph_2503():
+        # The N=12 sampled sequence covers this random 3-regular graph
+        # from every start node except node 8.
+        spec = ExperimentSpec(
+            algorithm="talking",
+            family="random_regular",
+            sizes=(12,),
+            label_sets=((1, 2),),
+            seeds=(2503,),
+        )
+        (trial,) = spec.trials()
+        return _build_graph(trial)
+
+    def test_single_uncovered_start_rejects(self):
+        g = self._talking_graph_2503()
+        seq = UXSProvider().sequence(12)
+        uncovered = [
+            v for v in g.nodes() if len(nodes_visited(g, v, seq)) < g.n
+        ]
+        assert uncovered == [8]
+        assert not is_universal_for(g, seq)
+
+    def test_single_uncovered_start_fails_preflight(self):
+        g = self._talking_graph_2503()
+        with pytest.raises(UniversalityError):
+            UXSProvider().verify_for_graph(12, g)
+
+    def test_matches_full_walk_on_every_small_port_graph(self):
+        sequences = [generate_sequence(length, 7919 + length)
+                     for length in range(13)]
+        for n in range(2, 5):
+            for g in iter_all_port_graphs(n):
+                for seq in sequences:
+                    assert is_universal_for(g, seq) == (
+                        _covered_from_every_start(g, seq)
+                    ), (g.describe(), seq)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_full_walk_on_random_graphs(self, n):
+        # From never covering (empty) to the certified default, so
+        # both verdicts occur at every size.
+        sequences = [UXSProvider().sequence(n)] + [
+            generate_sequence(length, 104729 + length)
+            for length in (0, n, n * n, 2 * n * n)
+        ]
+        verdicts = set()
+        for seed in range(20):
+            g = random_connected_graph(n, seed=seed)
+            for seq in sequences:
+                expected = _covered_from_every_start(g, seq)
+                assert is_universal_for(g, seq) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
