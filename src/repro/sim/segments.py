@@ -8,15 +8,18 @@ registers every suffix of the chase (the continuation from any
 mid-plan state is a suffix of the same chase), and serves numpy array
 views thereafter.  :func:`plan_segment` then computes truncation
 bounds, exact per-arrival CurCards, watch evaluation and
-``last_change`` updates as vector operations over those views.  The
-planner also understands stationary ``observe`` cohort members (see
-:mod:`repro.sim.ops`), which is what lets ``StarCheck``'s waiters
-share a segment with the dancing agent.
+``last_change`` updates as vector operations over those views.  A
+lockstep cohort (merged agents walking one plan from one state) is
+planned as a single route.  The planner also understands stationary
+``observe`` cohort members (see :mod:`repro.sim.ops`), which is what
+lets ``StarCheck``'s waiters share a segment with the dancing agent.
 
-The planner is strictly optional (the scalar scheduler remains
-complete without numpy) and bound by the scalar planner's contract:
-**byte-identity** with per-step execution, checked by the differential
-suite against :mod:`repro.sim.reference` under both planners.
+numpy is a declared dependency, and the scheduler uses this planner
+for every run on static edges; dynamic-edge runs (and
+``route_cache=False``) use the scalar planner instead.  Both are bound
+by the same contract: **byte-identity** with per-step execution,
+checked by the differential suite against :mod:`repro.sim.reference`
+under both planners.
 """
 
 from __future__ import annotations
@@ -169,37 +172,16 @@ def route_cache_for(graph: PortGraph) -> RouteCache:
 # Vectorized joint segment planning.
 # ----------------------------------------------------------------------
 
-def _commit_last_change(
-    last_change: list, round_: int, endpoint_arrs, idx
-) -> None:
-    """Write each endpoint node's latest changed round into ``last_change``.
-
-    ``endpoint_arrs`` are equal-length arrays of changed nodes, all
-    indexed by the (ascending) round indices ``idx``.  One sort over
-    the interleaved endpoints replaces a per-round scatter matrix: the
-    first occurrence of a node in the reversed round-ordered sequence
-    is its latest change.
-    """
-    k = len(idx)
-    e = len(endpoint_arrs)
-    seq = np.empty(e * k, dtype=np.int64)
-    for j, arr in enumerate(endpoint_arrs):
-        seq[j::e] = arr
-    rev = seq[::-1]
-    uniq, first = np.unique(rev, return_index=True)
-    tidx = idx[(e * k - 1 - first) // e]
-    for v, t in zip(uniq.tolist(), tidx.tolist()):
-        last_change[v] = round_ + int(t) + 1
-
-
 class SegmentPlan:
     """Output of :func:`plan_segment`, consumed by the scheduler.
 
     ``walkers[w]`` is ``(nodes, entries, degrees, curcards)`` as plain
     Python lists (``tolist()`` keeps observations and traces free of
-    numpy scalars); ``observer_cards[o]`` is the per-round CurCard
-    trace of the o-th observer.  ``_nodes`` retains the walker routes
-    as an ``(W, m+1)`` int64 matrix for the last_change update.
+    numpy scalars); walkers of a lockstep cohort share one tuple.
+    ``observer_cards[o]`` is the per-round CurCard trace of the o-th
+    observer.  ``_nodes`` retains the distinct walker routes as an
+    ``(R, m+1)`` int64 matrix for the last_change update: one row per
+    walker, or a single row for a lockstep cohort.
     ``watch_fired`` marks a segment whose last edge fires a walk
     watch — the walk helper will raise :class:`WatchTriggered` at the
     resume.
@@ -220,74 +202,44 @@ class SegmentPlan:
     def apply_last_change(self, last_change: list, round_: int, n: int) -> None:
         """Set ``last_change`` exactly as m rounds of per-step moves would.
 
-        Per round, a node's cardinality changed iff its arrival/departure
-        delta is non-zero; the latest such round wins.  Observers never
-        move, so a pure-observe segment changes nothing.  One and two
-        walkers (the overwhelmingly common cohorts) avoid the per-round
-        delta matrix: their cancellation cases are enumerable, so the
-        changed endpoints come straight from endpoint comparisons.
+        Per round, a node's cardinality changed iff its arrivals minus
+        departures are non-zero; the latest such round wins.  Observers
+        never move, so a pure-observe segment changes nothing.  A
+        lockstep cohort's k walkers share one row, which is exact: k
+        times a delta is non-zero iff the delta is.
         """
         arr = self._nodes
         if arr is None:
             return
         m = self.m
-        W = arr.shape[0]
-        if W == 1:
-            a = arr[0]
-            src = a[:m]
-            dst = a[1:]
-            idx = np.nonzero(src != dst)[0]
-            if len(idx):
-                _commit_last_change(
-                    last_change, round_, (src[idx], dst[idx]), idx
-                )
-            return
-        if W == 2:
-            sa, da = arr[0, :m], arr[0, 1:]
-            sb, db = arr[1, :m], arr[1, 1:]
-            lock = (sa == sb) & (da == db)
-            disjoint = (
-                ~lock
-                & (sa != da) & (sb != db) & (sa != sb)
-                & (da != db) & (sa != db) & (sb != da)
-            )
+        src = arr[:, :m]
+        dst = arr[:, 1:]
+        if len(arr) == 1 and not (src == dst).any():
+            # One route without a self-loop changes both endpoints of
+            # every round, so a node's last change is its last visit.
+            visit = np.arange(m + 1)
+            visit[m] = m - 1
             lastr = np.full(n, -1, dtype=np.int64)
-            idx = np.nonzero(lock & (sa != da))[0]
-            if len(idx):
-                np.maximum.at(lastr, sa[idx], idx)
-                np.maximum.at(lastr, da[idx], idx)
-            idx = np.nonzero(disjoint)[0]
-            if len(idx):
-                for ends in (sa, da, sb, db):
-                    np.maximum.at(lastr, ends[idx], idx)
-            # Crossings cancel exactly: each node loses one walker and
-            # gains the other, so neither endpoint's CurCard changes.
-            swap = ~lock & (sa == db) & (sb == da)
-            # Remaining collisions / splits / self-loops: exact
-            # per-node deltas (rare rounds).
-            for t in np.nonzero(~(lock | disjoint | swap))[0].tolist():
-                deltas = {int(sa[t]): -1}
-                for v, d in (
-                    (int(da[t]), 1), (int(sb[t]), -1), (int(db[t]), 1)
-                ):
-                    deltas[v] = deltas.get(v, 0) + d
-                for v, delta in deltas.items():
-                    if delta and t > lastr[v]:
-                        lastr[v] = t
-            for v in np.nonzero(lastr >= 0)[0].tolist():
-                last_change[v] = round_ + int(lastr[v]) + 1
-            return
-        cols = np.arange(m)
-        delta = np.zeros((n, m), dtype=np.int16)
-        np.add.at(delta, (arr[:, :m], cols), -1)
-        np.add.at(delta, (arr[:, 1:m + 1], cols), 1)
-        changed = delta != 0
-        rows = np.nonzero(changed.any(axis=1))[0]
-        if not len(rows):
-            return
-        last_idx = m - 1 - changed[:, ::-1].argmax(axis=1)
-        for v in rows.tolist():
-            last_change[v] = round_ + int(last_idx[v]) + 1
+            np.maximum.at(lastr, arr[0], visit)
+        else:
+            # Arrivals minus departures per (node, round) cell; a
+            # node's last change is its last non-zero column.
+            cols = np.arange(m)
+            size = n * m
+            changed = (
+                np.bincount((dst * m + cols).ravel(), minlength=size)
+                != np.bincount((src * m + cols).ravel(), minlength=size)
+            ).reshape(n, m)
+            lastr = np.where(
+                changed.any(axis=1),
+                m - 1 - changed[:, ::-1].argmax(axis=1),
+                -1,
+            )
+        # Python ints: rounds can exceed int64.
+        base = round_ + 1
+        for v, t in enumerate(lastr.tolist()):
+            if t >= 0:
+                last_change[v] = base + t
 
 
 def plan_segment(
@@ -354,11 +306,23 @@ def plan_segment(
             return None
     n = sim.graph.n
     cache = sim.route_cache
+    W = len(walks)
+    # A lockstep cohort — every walker at one node with the same exit
+    # port, plan object and plan position, like merged agents after
+    # the stability wait — walks one route: chase, card and list it
+    # once.
+    shared = walks
+    if W > 1:
+        i0, h0, s0, p0, _w0 = walks[0]
+        v0 = pos_of[i0]
+        if all(h == h0 and s is s0 and p == p0 and pos_of[i] == v0
+               for i, h, s, p, _w in walks):
+            shared = walks[:1]
     # Structural pass: cached routes; a route ending early (plan end
     # was already bounded above, so this is an invalid absolute step)
     # truncates the joint segment.
     routes = []
-    for idx, head, steps, pos, _w in walks:
+    for idx, head, steps, pos, _w in shared:
         nodes, ents, degs = cache.route(steps, pos, pos_of[idx], head)
         avail = len(ents)
         if avail < m:
@@ -384,21 +348,20 @@ def plan_segment(
     # matrix.  Exact per-arrival CurCards, truncated at the first
     # firing walk watch (that edge is the segment's last).
     counts_np = np.array(sim._counts, dtype=np.int64)
-    W = len(walks)
+    R = len(routes)
     nodes_matrix = None
     body = None
-    cards = None
     occ = None
+    walkers: list[tuple] = []
     watch_fired = False
     if W:
         for i, _h, _s, _p, _w in walks:
             counts_np[pos_of[i]] -= 1
-        nodes_matrix = np.empty((W, m + 1), dtype=np.int64)
-        for w, (nodes, _e, _d) in enumerate(routes):
-            nodes_matrix[w] = nodes[:m + 1]
+        nodes_matrix = np.array([nodes[:m + 1] for nodes, _e, _d in routes])
         body = nodes_matrix[:, 1:]
-        if W == 1:
-            cards = counts_np[body] + 1
+        if R == 1:
+            # One route: the whole cohort arrives together.
+            cards = counts_np[body] + W
         elif W == 2:
             # Pair cohort: co-location is a single equality row, no
             # occupancy matrix needed.
@@ -416,7 +379,7 @@ def plan_segment(
             if watch is None:
                 continue
             kind, value = watch
-            row = cards[w]
+            row = cards[w if R > 1 else 0]
             if kind == "gt":
                 f = row > value
             elif kind == "ne":
@@ -435,7 +398,14 @@ def plan_segment(
             body = nodes_matrix[:, 1:]
             if occ is not None:
                 occ = occ[:, :m]
-            cards = cards[:, :m]
+        walkers = [
+            (nodes[:m + 1].tolist(), ents[:m].tolist(), degs[:m].tolist(),
+             row[:m].tolist())
+            for (nodes, ents, degs), row in zip(routes, cards)
+        ]
+        # Lockstep walkers share their column lists, which are
+        # read-only (the walk helpers copy them).
+        walkers *= W // R
     observer_cards: list[list[int]] = []
     if observes:
         obs_nodes = np.array([pos_of[i] for i, _r in observes],
@@ -446,21 +416,15 @@ def plan_segment(
         elif occ is not None:
             ocards = base + occ[obs_nodes]
         else:
-            # W <= 2: per-round co-walker occupancy of each observer's
-            # node is a direct equality test against the routes.
-            ocards = base + (body[0] == obs_nodes[:, None])
-            if W == 2:
-                ocards = ocards + (body[1] == obs_nodes[:, None])
+            # One route or a pair: per-round co-walker occupancy of
+            # each observer's node is a direct equality test against
+            # the routes.
+            here = body[0] == obs_nodes[:, None]
+            if R == 1:
+                ocards = base + W * here
+            else:
+                ocards = base + here + (body[1] == obs_nodes[:, None])
         observer_cards = [row.tolist() for row in ocards]
-    walkers = []
-    for w, (nodes, ents, degs) in enumerate(routes):
-        walkers.append((
-            nodes[:m + 1].tolist(),
-            ents[:m].tolist(),
-            degs[:m].tolist(),
-            cards[w].tolist(),
-        ))
     return SegmentPlan(
         m, walkers, observer_cards, nodes_matrix, watch_fired
     )
-

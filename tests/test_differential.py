@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
+    PortGraph,
     path_graph,
     random_regular,
     ring,
@@ -33,7 +34,7 @@ from repro.graphs import (
     star_graph,
     torus,
 )
-from repro.sim import AgentSpec, Simulation, WatchTriggered
+from repro.sim import AgentSpec, DeadlockError, Simulation, WatchTriggered
 from repro.sim.agent import move, observe, wait, wait_stable, walk
 from repro.sim.faults import EdgeDynamics, make_dynamics
 from repro.sim.reference import ReferenceSimulation
@@ -53,6 +54,15 @@ EXTENDED_GRAPHS = {
     "regular6": random_regular(6, 3, seed=2),
     "regular8": random_regular(8, 3, seed=5),
 }
+
+# A 4-ring plus a self-loop at node 1 (ports 2 and 3) and a parallel
+# edge 2-3: the only differential family with self-loop moves.
+SELF_LOOP_GRAPH = PortGraph(
+    4,
+    [(0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0), (3, 1, 0, 1),
+     (1, 2, 1, 3), (2, 2, 3, 2)],
+    allow_multi=True,
+)
 
 WATCHES = [None, ("gt", 1), ("ne", 1), ("eq", 2), ("lt", 2)]
 
@@ -336,7 +346,54 @@ class TestWalkSegments:
         assert_equivalent(
             *run_both(
                 EXTENDED_GRAPHS["torus33"], scripts, [0, 0],
-                [1, 0],
+                [1, 2],
+            )
+        )
+
+    def test_lockstep_pair_with_different_watches(self):
+        """A co-located pair walks one plan from one state, but only
+        one walker watches: the shared CurCard row must fire the
+        (gt, 2) watch where the pair passes the third agent, and the
+        unwatched walker must walk on alone.  The third agent observes
+        in the same segment, so it must see the pair arrive as two."""
+        tour = (~0, ~1, ~0, ~1, ~2, ~0, ~1, ~0)
+        scripts = [
+            [("move", 0, None), ("walk", tour, ("gt", 2)),
+             ("wait", 7, None)],
+            [("wait", 1, None), ("walk", tour, None), ("wait", 7, None)],
+            [("wait", 1, None), ("observe", 12), ("wait", 30, None)],
+        ]
+        pairs = run_both(
+            EXTENDED_GRAPHS["torus33"], scripts, [0, 0, 0], [1, 2, 3]
+        )
+        assert_equivalent(*pairs)
+        _ref, ref_out = pairs[-1]
+        assert ref_out.outcomes[0].payload[1][0] == "walk!"
+        assert ref_out.outcomes[1].payload[1][0] == "walk"
+
+    @pytest.mark.parametrize("third", ["other_plan", "other_node"])
+    def test_three_walkers_two_in_lockstep(self, third):
+        """Two walkers share one walk state; the third walks an equal
+        but distinct plan object from the same node, or the same plan
+        from another node.  The cohort is not lockstep and must take
+        the general path."""
+        tour = (~0, ~1, ~0, ~1, ~2, ~0, ~1, ~0)
+        if third == "other_plan":
+            other, start, port = tuple(list(tour)), 5, 3
+        else:
+            other, start, port = tour, 6, 0
+        scripts = [
+            [("move", 0, None), ("walk", tour, None), ("wait", 7, None)],
+            [("wait", 1, None), ("walk", tour, None), ("wait", 7, None)],
+            [("move", port, None), ("walk", other, ("gt", 3)),
+             ("wait", 7, None)],
+        ]
+        # Agents 1 and 3 move onto agent 2's node in round 0 (agent 3
+        # only in the other_plan case); all three walk from round 1.
+        assert_equivalent(
+            *run_both(
+                EXTENDED_GRAPHS["torus33"], scripts, [0, 0, 0],
+                [1, 2, start],
             )
         )
 
@@ -458,6 +515,28 @@ def random_script(rng, min_degree, max_ops=8):
     return script
 
 
+def random_scenario(graph, rng):
+    """Seeded ``(scripts, wakes)`` of the randomized suites."""
+    min_degree = min(graph.degree(v) for v in graph.nodes())
+    # Agent 0 walks a covering tour as one big absolute-step walk plan
+    # (waking every dormant agent), then improvises.
+    tour = tuple(covering_tour(graph))
+    scripts = [
+        [("walk", tour, rng.choice(WATCHES))]
+        + random_script(rng, min_degree, max_ops=4)
+    ]
+    agents = rng.randrange(2, min(5, graph.n) + 1)
+    for _ in range(agents - 1):
+        scripts.append(random_script(rng, min_degree))
+    # Mix of adversary wakes and dormant (visit-woken) agents; the
+    # tour guarantees the dormant ones always start eventually.
+    wakes = [0] + [
+        rng.choice([None, 0, rng.randrange(1, 7)])
+        for _ in range(agents - 1)
+    ]
+    return scripts, wakes
+
+
 class TestSeededRandomizedSuite:
     """210 deterministic differential scenarios (>= 200 required) on
     ring / torus / random-regular graphs, every one exercising walk
@@ -470,25 +549,8 @@ class TestSeededRandomizedSuite:
     @pytest.mark.parametrize("seed", range(SEEDS_PER_GRAPH))
     def test_randomized_programs_agree(self, graph_name, seed):
         graph = EXTENDED_GRAPHS[graph_name]
-        min_degree = min(graph.degree(v) for v in graph.nodes())
         rng = random.Random(f"{graph_name}/{seed}")
-        # Agent 0 walks a covering tour as one big absolute-step walk
-        # plan (waking every dormant agent), then improvises.
-        tour = tuple(covering_tour(graph))
-        scripts = [
-            [("walk", tour, rng.choice(WATCHES))]
-            + random_script(rng, min_degree, max_ops=4)
-        ]
-        agents = rng.randrange(2, min(5, graph.n) + 1)
-        for _ in range(agents - 1):
-            scripts.append(random_script(rng, min_degree))
-        # Mix of adversary wakes and dormant (visit-woken) agents; the
-        # tour guarantees the dormant ones always start eventually.
-        wakes = [0] + [
-            rng.choice([None, 0, rng.randrange(1, 7)])
-            for _ in range(agents - 1)
-        ]
-        assert_equivalent(*run_both(graph, scripts, wakes))
+        assert_equivalent(*run_both(graph, *random_scenario(graph, rng)))
 
     @pytest.mark.parametrize("graph_name", sorted(EXTENDED_GRAPHS))
     def test_all_dormant_but_one(self, graph_name):
@@ -520,6 +582,48 @@ class TestSeededRandomizedSuite:
         assert_equivalent(
             *run_both(graph, scripts, [0, 0, rng.randrange(0, 5)])
         )
+
+
+class TestSelfLoopFamily:
+    """The randomized suite on :data:`SELF_LOOP_GRAPH`: self-loop
+    moves leave CurCard unchanged, inside vectorized segments too."""
+
+    SEEDS = 40
+
+    @staticmethod
+    def scenario(seed):
+        rng = random.Random(f"self-loop/{seed}")
+        return random_scenario(SELF_LOOP_GRAPH, rng)
+
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_randomized_programs_agree(self, seed):
+        assert_equivalent(
+            *run_both(SELF_LOOP_GRAPH, *self.scenario(seed))
+        )
+
+    def test_segments_cross_self_loops(self, monkeypatch):
+        """The family reaches the planner's self-loop case: some
+        vectorized segment routes contain a self-loop step."""
+        from repro.sim import segments
+
+        loops = []
+        plan_segment = segments.plan_segment
+
+        def recording(*args):
+            plan = plan_segment(*args)
+            if plan is not None and plan._nodes is not None:
+                nodes = plan._nodes
+                loops.append(int((nodes[:, 1:] == nodes[:, :-1]).sum()))
+            return plan
+
+        monkeypatch.setattr(segments, "plan_segment", recording)
+        for seed in range(self.SEEDS):
+            sim = Simulation(SELF_LOOP_GRAPH, _specs(*self.scenario(seed)))
+            try:
+                sim.run()
+            except DeadlockError:  # a seed may strand a dormant agent
+                pass
+        assert any(loops)
 
 
 class _AllBlockedRound(EdgeDynamics):

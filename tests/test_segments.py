@@ -1,26 +1,29 @@
-"""The vectorized segment planner's route cache and its shared users.
+"""The vectorized segment planner's route cache, commit and shared users.
 
 :class:`repro.sim.segments.RouteCache` chases each walk route once and
 serves every later resume as array views; these tests pin the routes
-against an independent per-edge replay.  Trials on one graph object
-share that graph's cache, so mixed same-graph batches must still match
-the :mod:`repro.sim.reference` oracle trial by trial, and the
-pipelined backend (which runs such batches) must record exactly what
-the serial backend records.
+against an independent per-edge replay, and pin
+:meth:`SegmentPlan.apply_last_change` against a per-round delta model.
+Trials on one graph object share that graph's cache, so mixed
+same-graph batches must still match the :mod:`repro.sim.reference`
+oracle trial by trial, and the pipelined backend (which runs such
+batches) must record exactly what the serial backend records.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.graphs import random_regular, ring, torus
 from repro.runner import ExperimentSpec, run_experiment
-from repro.sim.segments import RouteCache, route_cache_for
+from repro.sim import AgentSpec, Simulation, segments
+from repro.sim.agent import walk
+from repro.sim.segments import RouteCache, SegmentPlan, route_cache_for
 from test_differential import (
+    SELF_LOOP_GRAPH,
     assert_equivalent,
     covering_tour,
     random_script,
@@ -118,6 +121,161 @@ class TestRouteCache:
         g = ring(6)
         assert route_cache_for(g) is route_cache_for(g)
         assert route_cache_for(g) is not route_cache_for(ring(6))
+
+
+LAST_CHANGE_GRAPHS = {
+    "ring6": ring(6),
+    "torus33": torus(3, 3, seed=11),
+    "self_loop4": SELF_LOOP_GRAPH,
+}
+
+
+def random_route(graph, rng, edges, start=None):
+    """Nodes of a random ``edges``-edge walk (self-loops included)."""
+    node = rng.randrange(graph.n) if start is None else start
+    nodes = [node]
+    for _ in range(edges):
+        node, _entry = graph.neighbor(node, rng.randrange(graph.degree(node)))
+        nodes.append(node)
+    return nodes
+
+
+def per_round_last_change(rows, weights, round_, last_change):
+    """Brute force: a node changes in a round iff the walkers (row r
+    standing for ``weights[r]`` of them) arriving there minus those
+    leaving are non-zero."""
+    out = list(last_change)
+    for t in range(len(rows[0]) - 1):
+        delta: dict[int, int] = {}
+        for row, k in zip(rows, weights):
+            delta[row[t]] = delta.get(row[t], 0) - k
+            delta[row[t + 1]] = delta.get(row[t + 1], 0) + k
+        for v, d in delta.items():
+            if d:
+                out[v] = round_ + t + 1
+    return out
+
+
+class TestLastChange:
+    """:meth:`SegmentPlan.apply_last_change` writes exactly what m
+    rounds of per-step moves would."""
+
+    @staticmethod
+    def check(graph, rows, weights=None, round_=17):
+        weights = weights or [1] * len(rows)
+        before = [-1] * graph.n
+        plan = SegmentPlan(len(rows[0]) - 1, [], [], np.array(rows))
+        got = list(before)
+        plan.apply_last_change(got, round_, graph.n)
+        assert got == per_round_last_change(rows, weights, round_, before)
+        return got
+
+    @pytest.mark.parametrize("graph_name", sorted(LAST_CHANGE_GRAPHS))
+    @pytest.mark.parametrize("walkers", [1, 2, 3, 4])
+    def test_random_routes(self, graph_name, walkers):
+        graph = LAST_CHANGE_GRAPHS[graph_name]
+        rng = random.Random(f"last_change/{graph_name}/{walkers}")
+        for _ in range(30):
+            m = rng.randrange(2, 25)
+            start = rng.randrange(graph.n)
+            # Common starts make collisions and splits likely.
+            rows = [
+                random_route(graph, rng, m, rng.choice([start, None]))
+                for _ in range(walkers)
+            ]
+            self.check(graph, rows)
+
+    @pytest.mark.parametrize("graph_name", sorted(LAST_CHANGE_GRAPHS))
+    def test_lockstep_cohort(self, graph_name):
+        """k walkers on one route: k identical rows, or the single
+        row a lockstep plan stores, change the same nodes."""
+        graph = LAST_CHANGE_GRAPHS[graph_name]
+        rng = random.Random(f"lockstep/{graph_name}")
+        for _ in range(20):
+            route = random_route(graph, rng, rng.randrange(2, 25))
+            for k in (2, 3, 4):
+                assert (self.check(graph, [route] * k)
+                        == self.check(graph, [route], weights=[k]))
+
+    @pytest.mark.parametrize("graph_name", sorted(LAST_CHANGE_GRAPHS))
+    def test_pair_trailing_by_one_step(self, graph_name):
+        graph = LAST_CHANGE_GRAPHS[graph_name]
+        rng = random.Random(f"trail/{graph_name}")
+        for _ in range(20):
+            full = random_route(graph, rng, rng.randrange(3, 25))
+            self.check(graph, [full[1:], full[:-1]])
+
+    @pytest.mark.parametrize("graph_name", sorted(LAST_CHANGE_GRAPHS))
+    def test_swaps_across_an_edge(self, graph_name):
+        """Crossing walkers cancel: nothing changes."""
+        graph = LAST_CHANGE_GRAPHS[graph_name]
+        u = 0
+        v, _entry = graph.neighbor(u, 0)
+        there = [u, v] * 4
+        back = [v, u] * 4
+        assert self.check(graph, [there, back]) == [-1] * graph.n
+        # A crossing mid-route, next to moves that do count.
+        rng = random.Random(f"swap/{graph_name}")
+        tail = random_route(graph, rng, 5, v)
+        self.check(graph, [[u] + tail, [v, u] + tail[:-1]])
+
+    def test_self_loop_steps(self):
+        graph = SELF_LOOP_GRAPH
+        # Port 2 of node 1 is a self-loop: a walker spinning on it
+        # changes nothing, alone or as a lockstep pair.
+        spin = [1] * 6
+        assert self.check(graph, [spin]) == [-1] * graph.n
+        assert self.check(graph, [spin], weights=[2]) == [-1] * graph.n
+        rng = random.Random("self_loop")
+        for _ in range(20):
+            route = [1, 1] + random_route(graph, rng, 6, 1)
+            self.check(graph, [route])
+            self.check(graph, [route], weights=[3])
+            self.check(graph, [route, spin[:1] * len(route)])
+
+    def test_rounds_beyond_int64(self):
+        graph = ring(6)
+        round_ = 2 ** 70
+        got = self.check(graph, [[0, 1, 2, 3]], round_=round_)
+        assert got[3] == round_ + 3
+        self.check(graph, [[0, 1, 2, 1], [3, 2, 1, 0]], round_=round_)
+
+
+class TestLockstepPlan:
+    def test_pair_plans_one_route(self, monkeypatch):
+        """Co-located walkers of one plan object share one route row
+        and one walker tuple."""
+        plans = []
+        plan_segment = segments.plan_segment
+
+        def recording(*args):
+            plan = plan_segment(*args)
+            plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(segments, "plan_segment", recording)
+        graph = ring(6)
+        tour = (~0,) * 8
+
+        def together(ctx):
+            yield from walk(ctx, tour)
+
+        start, back = graph.neighbor(0, 1)
+
+        def join(ctx):
+            yield from walk(ctx, (back,))
+            yield from walk(ctx, tour)
+
+        # Agent 2 steps back onto agent 1's node; from round 1 both
+        # walk ``tour`` from one state.
+        sim = Simulation(graph, [
+            AgentSpec(1, 0, together, 1),
+            AgentSpec(2, start, join, 0),
+        ])
+        sim.run()
+        (plan,) = [p for p in plans if p is not None]
+        assert plan._nodes.shape[0] == 1
+        assert plan.walkers[0] is plan.walkers[1]
 
 
 class TestSharedGraphRandomized:
