@@ -32,8 +32,8 @@ from ..sim.agent import (
     AgentContext,
     WatchTriggered,
     declare,
-    move,
     observe,
+    paced_walk,
     wait,
     walk,
 )
@@ -58,27 +58,24 @@ def ball_traversal(ctx: AgentContext, sched: UnknownBoundSchedule, h: int):
     slowdown wait before every edge traversal.  Returns ``False`` as
     soon as a node of degree >= ``n_h`` is seen (then phi_h is
     certainly wrong and the agent skips the main part).
+
+    Each forward word and each backtrack is one :func:`paced_walk`,
+    whose stop rules are exactly the per-edge guards: the forward walk
+    ends on a node of degree >= ``n_h`` (the start included) or before
+    a port the current node lacks.
     """
     n_h = sched.n(h)
     length = sched.ball_length(h)
     slow = sched.slowdown(h)
     for word in iter_all_walks(length, n_h - 1):
-        entries: list[int] = []
-        aborted = False
-        for port in word:
-            if ctx.degree() >= n_h:
-                return False
-            if port >= ctx.degree():
-                aborted = True
-                break
-            yield from wait(ctx, slow)
-            obs = yield from move(ctx, port)
-            entries.append(obs.entry_port)
-        if not aborted and ctx.degree() >= n_h:
+        trace = yield from paced_walk(
+            ctx, word, slow, stop_degree=n_h, stop_before_invalid=True
+        )
+        # A walk stopped before an invalid port sits on a node of degree
+        # < n_h (that guard runs first), so one check covers both exits.
+        if ctx.degree() >= n_h:
             return False
-        for back in reversed(entries):
-            yield from wait(ctx, slow)
-            yield from move(ctx, back)
+        yield from paced_walk(ctx, [rec[2] for rec in reversed(trace)], slow)
     return True
 
 
@@ -247,10 +244,7 @@ def hypothesis(ctx: AgentContext, sched: UnknownBoundSchedule, h: int):
         return True
     # Second part (lines 16-22): retrace every entered port in reverse,
     # each move behind a slowdown wait, then pad to exactly T_h.
-    slow = sched.slowdown(h)
-    for port in reversed(entries):
-        yield from wait(ctx, slow)
-        yield from move(ctx, port)
+    yield from paced_walk(ctx, reversed(entries), sched.slowdown(h))
     spent = ctx.obs.round - start
     target = sched.t_hyp(h)
     if spent > target:

@@ -26,6 +26,7 @@ from .ops import (
     MOVE,
     OBSERVE,
     Observation,
+    PACED,
     resolve_walk_step,
     WAIT,
     WAIT_STABLE,
@@ -206,6 +207,46 @@ def walk(
         if watch is not None and watch_hit(watch, obs.curcard):
             raise WatchTriggered(obs)
     return trace
+
+
+def paced_walk(
+    ctx: AgentContext,
+    ports,
+    delay: int,
+    stop_degree: int | None = None,
+    stop_before_invalid: bool = False,
+) -> AgentGen:
+    """For each port: ``wait(ctx, delay)``, then ``move(ctx, port)``.
+
+    The slowed walks of ``BallTraversal`` and of the ``Hypothesis``
+    unwind (Algorithms 6 and 7) as one op: the scheduler makes the
+    waits and moves itself and resumes the agent once at the end, so
+    a walk of ``L`` edges costs one program resume instead of ``2 L``.
+    Events, rounds and observations are those of the literal
+    alternation.  ``ports`` are absolute exit ports; ``delay >= 1``.
+
+    The walk ends early, before the next wait, on a node of degree
+    ``>= stop_degree`` (the start node included) or, with
+    ``stop_before_invalid``, before a port the current node lacks;
+    without it such a port is rejected like a bad :func:`move`.
+
+    Returns the per-arrival records ``(round, degree, entry_port,
+    curcard)``, like :func:`walk`, and logs the entry ports to
+    ``ctx.entries_log`` when it records.
+    """
+    ports = tuple(ports)
+    if not ports:
+        return []
+    degree = ctx.degree()
+    if stop_degree is not None and degree >= stop_degree:
+        return []
+    if stop_before_invalid and not 0 <= ports[0] < degree:
+        return []
+    obs = yield (PACED, ports, delay, stop_degree, stop_before_invalid)
+    ctx.obs = obs
+    if ctx.entries_log is not None:
+        ctx.entries_log.extend(obs.walked_cols[2])
+    return obs.walked
 
 
 def walk_cols(

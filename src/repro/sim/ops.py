@@ -49,6 +49,16 @@ DECLARE = "declare"
 # scheduler may deliver any prefix of the requested rounds; the agent
 # helper re-issues the op with the rest, like ``walk``.
 OBSERVE = "observe"
+# ``(PACED, ports, delay, stop_degree, stop_before_invalid)`` — for
+# each absolute port: ``wait(delay)``, then ``move(port)``.  Semantically
+# identical to that literal alternation, ending early on an arrival at
+# a node of degree >= ``stop_degree`` (when not ``None``) or, with
+# ``stop_before_invalid``, before a port the current node lacks.  The
+# scheduler makes every wait and move itself and resumes the agent
+# once, with a :class:`WalkObservation` of all arrivals, when the
+# ports run out or a stop rule fires (see ``paced_walk`` in
+# :mod:`repro.sim.agent`).
+PACED = "paced"
 
 Watch = tuple[str, int]
 
@@ -176,7 +186,8 @@ class Observation:
 
 
 class WalkObservation(Observation):
-    """Observation delivered at the end of a fast-path walk segment.
+    """Observation delivered at the end of a fast-path walk segment
+    (or of a whole paced walk).
 
     ``walked`` holds one record per edge of the segment, each the
     ``(round, degree, entry_port, curcard)`` the agent *would* have

@@ -14,9 +14,9 @@ surface the differential suite compares:
 
 * an identical :class:`~repro.sim.scheduler.SimulationResult` —
   outcomes field by field, ``final_round``, ``total_moves`` and the
-  ``events`` counter (one event per generator resumption, which the
-  fast scheduler matches by counting a *virtual* resume per walked
-  edge);
+  ``events`` counter (one event per resumption of the per-step
+  program, which the fast scheduler matches by counting a *virtual*
+  resume per walked edge and per paced wait end and arrival);
 * an identical ``move_log`` in trace mode (both schedulers record each
   round's simultaneous moves in agent-index order);
 * identical budget failures (:class:`BudgetExceededError` with the
@@ -37,6 +37,12 @@ Semantics implemented (the documented contract of ``scheduler.py``):
   (before wake-ups and resumes; occupancy gone from that round on);
 * a dynamics-blocked move costs the round but not the edge (one event
   per retry round, no program re-entry);
+* a ``paced`` walk is its literal expansion — per port a ``wait`` of
+  ``delay`` rounds, then a ``move`` — with one event per wait end and
+  per arrival; it ends on an arrival at a node of degree
+  ``>= stop_degree`` or, with ``stop_before_invalid``, before a port
+  the node lacks, and only then is the program resumed, with a
+  :class:`~repro.sim.ops.WalkObservation` of every arrival;
 * the graceful ``horizon`` finalizes all live agents undeclared when
   the next event would fall after it (``timed_out=True``).
 
@@ -57,10 +63,12 @@ from .ops import (
     MOVE,
     OBSERVE,
     Observation,
+    PACED,
     SimulationError,
     WAIT,
     WAIT_STABLE,
     WALK,
+    WalkObservation,
     watch_hit,
 )
 from .scheduler import AgentOutcome, AgentSpec, SimulationResult
@@ -85,6 +93,7 @@ class _RefAgent:
         "stable_window",
         "entry_port",
         "retry_port",
+        "paced",
         "outcome",
     )
 
@@ -109,6 +118,9 @@ class _RefAgent:
         self.stable_window: int | None = None
         self.entry_port: int | None = None
         self.retry_port: int | None = None
+        # In-flight paced walk: [ports, next index, delay, stop_degree,
+        # stop_before_invalid, arrival records].
+        self.paced: list | None = None
         self.outcome = AgentOutcome(label, node)
 
 
@@ -231,7 +243,12 @@ class ReferenceSimulation:
             raise BudgetExceededError(
                 f"event budget exceeded at round {round_}"
             )
-        obs = self._obs(agent, round_, triggered)
+        if agent.paced is not None:
+            obs = self._paced_step(agent, round_, moves_out)
+            if obs is None:
+                return
+        else:
+            obs = self._obs(agent, round_, triggered)
         try:
             if agent.state == "ready" and agent.ctx.obs is None:
                 agent.ctx.obs = obs
@@ -246,15 +263,18 @@ class ReferenceSimulation:
             # The reference walks one edge per round: a walk op is just
             # a move of its (already resolved) head port; the agent-side
             # helper re-issues the rest of the plan on arrival.
-            port = op[1]
-            degree = self.graph.degree(agent.node)
-            if not isinstance(port, int) or port < 0 or port >= degree:
+            self._take(agent, op[1], moves_out)
+        elif kind == PACED:
+            _kind, ports, delay, stop_degree, stop_invalid = op
+            if delay < 1 or not ports:
                 raise SimulationError(
-                    f"agent {agent.label} took invalid port "
-                    f"{port!r} at a node of degree {degree}"
+                    f"paced walk needs a delay >= 1 and a port, got {delay} "
+                    f"and {len(ports)} port(s)"
                 )
-            moves_out.append((agent, port))
-            agent.state = "moving"
+            agent.paced = [ports, 0, delay, stop_degree, stop_invalid, []]
+            agent.state = "waiting"
+            agent.resume_round = round_ + delay
+            agent.watch = None
         elif kind == WAIT:
             duration, watch = op[1], op[2]
             if duration < 1:
@@ -287,6 +307,47 @@ class ReferenceSimulation:
             self._finish(agent, round_, op[1], declared=True)
         else:
             raise SimulationError(f"unknown op {op!r}")
+
+    def _take(self, agent: _RefAgent, port, moves_out: list) -> None:
+        degree = self.graph.degree(agent.node)
+        if not isinstance(port, int) or port < 0 or port >= degree:
+            raise SimulationError(
+                f"agent {agent.label} took invalid port "
+                f"{port!r} at a node of degree {degree}"
+            )
+        moves_out.append((agent, port))
+        agent.state = "moving"
+
+    def _paced_step(
+        self, agent: _RefAgent, round_: int, moves_out: list
+    ) -> WalkObservation | None:
+        """One resume of a paced walk's literal expansion.
+
+        At a wait's end the agent takes its next port; on an arrival
+        it records what the resume observes and waits again, unless
+        the walk is over — then the agent's observation is returned.
+        """
+        paced = agent.paced
+        ports, i, delay, stop_degree, stop_invalid, records = paced
+        if agent.state == "waiting":
+            paced[1] = i + 1
+            self._take(agent, ports[i], moves_out)
+            return None
+        obs = self._obs(agent, round_, False)
+        records.append((obs.round, obs.degree, obs.entry_port, obs.curcard))
+        if (
+            i < len(ports)
+            and (stop_degree is None or obs.degree < stop_degree)
+            and (not stop_invalid or 0 <= ports[i] < obs.degree)
+        ):
+            agent.state = "waiting"
+            agent.resume_round = round_ + delay
+            return None
+        agent.paced = None
+        return WalkObservation(
+            obs.round, obs.degree, obs.entry_port, obs.curcard, False,
+            tuple(list(col) for col in zip(*records)),
+        )
 
     def _due(self, agent: _RefAgent, round_: int) -> tuple[bool, bool]:
         """Is the agent due to resume this round? -> (due, triggered)."""
@@ -332,6 +393,7 @@ class ReferenceSimulation:
             agent.watch = None
             agent.stable_window = None
             agent.retry_port = None
+            agent.paced = None
             out = agent.outcome
             out.finish_round = round_
             out.finish_node = agent.node
@@ -350,6 +412,7 @@ class ReferenceSimulation:
             agent.watch = None
             agent.stable_window = None
             agent.retry_port = None
+            agent.paced = None
             out = agent.outcome
             out.finish_round = None
             out.finish_node = agent.node

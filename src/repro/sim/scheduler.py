@@ -57,6 +57,19 @@ cohort could act:
 The ``events`` counter stays bit-for-bit compatible with the per-step
 model: a segment of ``m`` edges counts ``m`` (virtual) resumes.
 
+Paced walks
+-----------
+A ``paced`` op (``paced_walk`` in :mod:`repro.sim.agent`) stands for
+"per port: ``wait(delay)``, then ``move(port)``" — the slowed walks of
+``GatherUnknownUpperBound``.  The scheduler runs that alternation
+itself through the queued-move slot it also uses for blocked retries:
+the move falls due ``delay`` rounds after the op or the last arrival,
+and at each arrival the scheduler records what the resume would have
+observed, counts that resume, and queues the next move.  Every heap
+event, round and move of the literal program is kept; only the
+program is not re-entered until the ports run out or a stop rule
+fires, when it gets all arrivals as one :class:`WalkObservation`.
+
 Fault injection
 ---------------
 Crash faults, dynamic edges and the graceful round horizon (see
@@ -99,6 +112,7 @@ from .ops import (
     MOVE,
     OBSERVE,
     Observation,
+    PACED,
     SimulationError,
     WAIT,
     WAIT_STABLE,
@@ -114,6 +128,30 @@ _DONE = 2
 
 # Guard against non-advancing agent programs (zero-duration op loops).
 _MAX_RESUMES_PER_ROUND = 100_000
+
+
+class _PacedWalk:
+    """A paced walk in flight (the ``PACED`` op), in the queued-move slot.
+
+    ``port`` is the move due at the agent's next heap event, or
+    ``None`` while the walk waits for its arrival there; ``next``
+    indexes the port after it.  ``cols`` collects the per-arrival
+    columns ``(rounds, degrees, entries, curcards)`` handed to the
+    agent at the end.
+    """
+
+    __slots__ = ("port", "ports", "next", "delay", "stop_degree",
+                 "stop_invalid", "cols")
+
+    def __init__(self, ports: tuple, delay: int, stop_degree: int | None,
+                 stop_invalid: bool) -> None:
+        self.port = ports[0]
+        self.ports = ports
+        self.next = 1
+        self.delay = delay
+        self.stop_degree = stop_degree
+        self.stop_invalid = stop_invalid
+        self.cols: tuple = ([], [], [], [])
 
 
 class AgentSpec:
@@ -388,9 +426,9 @@ class Simulation:
         self.horizon = horizon
         self.timed_out = False
         self._dynamics = dynamics
-        self._retry_move: list[int | None] | None = (
-            [None] * k if dynamics is not None else None
-        )
+        # Moves made without resuming the agent: the port of a
+        # dynamics-blocked move, retried next round, or a paced walk.
+        self._queued: list[int | _PacedWalk | None] = [None] * k
         self._c_faults = _metrics_registry.Counter()
         self._c_edges_blocked = _metrics_registry.Counter()
         if faults:
@@ -672,7 +710,7 @@ class Simulation:
         pending_moves: list[tuple[int, int]] = []  # (idx, port)
         pending_walks: list[tuple] = []  # (idx, head, steps, pos, watch)
         pending_observes: list[tuple[int, int]] = []  # (idx, remaining)
-        retries = self._retry_move
+        queued = self._queued
         resumes = 0
         while heap and heap[0][0] == round_:
             _, _, idx, epoch = heapq.heappop(heap)
@@ -708,12 +746,28 @@ class Simulation:
                 raise BudgetExceededError(
                     f"event budget exceeded at round {round_}"
                 )
-            if retries is not None and retries[idx] is not None:
-                # A dynamics-blocked move retries verbatim: the agent's
-                # program is not re-entered and observes nothing.
-                pending_moves.append((idx, retries[idx]))
-                retries[idx] = None
-                continue
+            q = queued[idx]
+            if q is not None:
+                # A queued move falls due (a blocked retry, or a paced
+                # walk's edge after its wait): the program is not
+                # re-entered and observes nothing.
+                if q.__class__ is int:
+                    queued[idx] = None
+                    pending_moves.append((idx, q))
+                    continue
+                port = q.port
+                if port is not None:
+                    if (
+                        not isinstance(port, int) or port < 0
+                        or port >= self.graph.degree(self._pos[idx])
+                    ):
+                        raise self._invalid_port(idx, port)
+                    q.port = None
+                    pending_moves.append((idx, port))
+                    continue
+                if self._paced_arrival(idx, round_, q):
+                    continue
+                queued[idx] = None
             op = self._resume(idx, round_)
             if op is None:
                 continue  # agent terminated
@@ -724,6 +778,8 @@ class Simulation:
                 pending_walks.append((idx, op[1], op[2], op[3], op[4]))
             elif kind == WAIT:
                 self._begin_wait(idx, round_, op[1], op[2])
+            elif kind == PACED:
+                self._begin_paced(idx, round_, op)
             elif kind == WAIT_STABLE:
                 self._begin_wait_stable(idx, round_, op[1])
             elif kind == OBSERVE:
@@ -822,11 +878,14 @@ class Simulation:
             port = op[1]
             node = self._pos[idx]
             if not isinstance(port, int) or port < 0 or port >= self.graph.degree(node):
-                raise SimulationError(
-                    f"agent {self.specs[idx].label} took invalid port "
-                    f"{port!r} at a node of degree {self.graph.degree(node)}"
-                )
+                raise self._invalid_port(idx, port)
         return op
+
+    def _invalid_port(self, idx: int, port) -> SimulationError:
+        return SimulationError(
+            f"agent {self.specs[idx].label} took invalid port {port!r} "
+            f"at a node of degree {self.graph.degree(self._pos[idx])}"
+        )
 
     def _start_agent(self, idx: int, round_: int) -> None:
         spec = self.specs[idx]
@@ -899,8 +958,7 @@ class Simulation:
         self._dormant_at[node].discard(idx)
         self._gens[idx] = None
         self._walk_trace[idx] = None
-        if self._retry_move is not None:
-            self._retry_move[idx] = None
+        self._queued[idx] = None
         self._counts[node] -= 1
         self._last_change[node] = round_
         if self._watchers[node]:
@@ -963,6 +1021,48 @@ class Simulation:
             self._watch[idx] = watch
             self._wait_until[idx] = round_ + duration
             self._watchers[self._pos[idx]].add(idx)
+
+    def _begin_paced(self, idx: int, round_: int, op: tuple) -> None:
+        _kind, ports, delay, stop_degree, stop_invalid = op
+        if delay < 1 or not ports:
+            raise SimulationError(
+                f"paced walk needs a delay >= 1 and a port, got {delay} "
+                f"and {len(ports)} port(s)"
+            )
+        self._queued[idx] = _PacedWalk(
+            ports, delay, stop_degree, stop_invalid
+        )
+        self._push(round_ + delay, idx)
+
+    def _paced_arrival(self, idx: int, round_: int, q: _PacedWalk) -> bool:
+        """Record a paced walk's arrival; queue its next edge if any.
+
+        Stands in for the resume the literal ``wait`` + ``move`` program
+        spends here (already counted as an event): the arrival is
+        recorded as that resume would observe it, and unless the ports
+        ran out or a stop rule fires, the next move is queued for
+        ``round_ + delay`` and True is returned.  On False the agent is
+        resumed with the whole walk as a :class:`WalkObservation`.
+        """
+        node = self._pos[idx]
+        degree = self.graph.degree(node)
+        rounds, degrees, entries, cards = q.cols
+        rounds.append(round_)
+        degrees.append(degree)
+        entries.append(self._entry_port[idx])
+        cards.append(self._counts[node])
+        i = q.next
+        if i < len(q.ports) and (
+            q.stop_degree is None or degree < q.stop_degree
+        ):
+            port = q.ports[i]
+            if not q.stop_invalid or 0 <= port < degree:
+                q.port = port
+                q.next = i + 1
+                self._push(round_ + q.delay, idx)
+                return True
+        self._walk_trace[idx] = q.cols
+        return False
 
     def _begin_wait_stable(self, idx: int, round_: int, window) -> None:
         if window < 1:
@@ -1468,7 +1568,11 @@ class Simulation:
                 # agent stays put (no occupancy change, nothing to
                 # observe) and retries the same port next round.
                 self._c_edges_blocked.value += 1
-                self._retry_move[idx] = port
+                q = self._queued[idx]
+                if q is None:
+                    self._queued[idx] = port
+                else:
+                    q.port = port
                 if emit is not None:
                     emit.emit(_EvEdgeBlocked(
                         round=round_, agent=idx, node=src, port=port

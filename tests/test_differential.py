@@ -35,9 +35,18 @@ from repro.graphs import (
     torus,
 )
 from repro.sim import AgentSpec, DeadlockError, Simulation, WatchTriggered
-from repro.sim.agent import move, observe, wait, wait_stable, walk
+from repro.sim.agent import (
+    move,
+    observe,
+    paced_walk,
+    wait,
+    wait_stable,
+    walk,
+    walk_cols,
+)
 from repro.sim.faults import EdgeDynamics, make_dynamics
 from repro.sim.reference import ReferenceSimulation
+from repro.sim.scheduler import _PacedWalk
 
 GRAPHS = {
     "edge": single_edge(),
@@ -132,6 +141,12 @@ def scripted_program(script):
             elif kind == "observe":
                 records = yield from observe(ctx, op[1])
                 log.append(("observe", tuple(records)))
+            elif kind == "paced":
+                trace = yield from paced_walk(
+                    ctx, op[1], op[2],
+                    stop_degree=op[3], stop_before_invalid=op[4],
+                )
+                log.append(("paced", tuple(trace), ctx.obs.round))
             else:
                 yield from wait_stable(ctx, op[1])
                 log.append(("stable", ctx.obs.round, ctx.obs.curcard))
@@ -771,6 +786,196 @@ class TestFaultedDifferential:
             graph, scripts, wakes,
             faults=faults, dynamics=dynamics, horizon=400,
         ))
+
+
+# Families of the paced-walk suite: degree stops need nodes of unequal
+# degree (path, star, the self-loop graph); the ring carries hash
+# dynamics' blocked edges along longer walks.
+PACED_GRAPHS = {
+    "path3": GRAPHS["path3"],
+    "star4": GRAPHS["star4"],
+    "self-loop": SELF_LOOP_GRAPH,
+    "ring6": EXTENDED_GRAPHS["ring6"],
+}
+
+
+def random_paced_op(rng, min_degree, max_degree):
+    """A ``paced`` script op with delay 1-4 and an optional degree stop.
+
+    Most ops also stop before invalid ports and draw ports below
+    ``max_degree``; the rest draw ports below ``min_degree``, which
+    every node has.
+    """
+    stop_invalid = rng.random() < 0.75
+    bound = max_degree if stop_invalid else min_degree
+    ports = tuple(rng.randrange(bound) for _ in range(rng.randrange(1, 9)))
+    stop_degree = rng.choice((None, None, 2, 3, 4))
+    return ("paced", ports, rng.randrange(1, 5), stop_degree, stop_invalid)
+
+
+def random_paced_scenario(graph, rng):
+    """Seeded ``(scripts, wakes)``: paced walks mixed into random scripts."""
+    degrees = [graph.degree(v) for v in graph.nodes()]
+    min_degree, max_degree = min(degrees), max(degrees)
+
+    def script(ops):
+        out = []
+        for _ in range(ops):
+            if rng.random() < 0.5:
+                out.append(random_paced_op(rng, min_degree, max_degree))
+            else:
+                out.extend(random_script(rng, min_degree, max_ops=1))
+        return out
+
+    # Agent 0 tours first, so dormant agents always wake.
+    scripts = [[("walk", tuple(covering_tour(graph)), None)] + script(3)]
+    agents = rng.randrange(2, min(4, graph.n) + 1)
+    scripts += [script(rng.randrange(1, 5)) for _ in range(agents - 1)]
+    wakes = [0] + [
+        rng.choice([None, 0, rng.randrange(1, 7)])
+        for _ in range(agents - 1)
+    ]
+    return scripts, wakes
+
+
+class TestPacedFamily:
+    """``paced`` ops against the reference under both planners: delays
+    1-4, both stop rules, a crash fault on odd seeds and ``ring-random``
+    blocked edges on every third seed."""
+
+    SEEDS = 30
+
+    @staticmethod
+    def scenario(graph_name, seed):
+        graph = PACED_GRAPHS[graph_name]
+        rng = random.Random(f"paced/{graph_name}/{seed}")
+        scripts, wakes = random_paced_scenario(graph, rng)
+        kwargs = {}
+        if seed % 2:
+            label = rng.randrange(1, len(scripts) + 1)
+            kwargs.update(faults=[(label, rng.randrange(1, 30))], horizon=400)
+        if seed % 3 == 0:
+            kwargs["dynamics"] = lambda g: make_dynamics(
+                "ring-random", g, seed=seed
+            )
+        return graph, scripts, wakes, kwargs
+
+    @pytest.mark.parametrize("graph_name", sorted(PACED_GRAPHS))
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_randomized_paced_programs_agree(self, graph_name, seed):
+        graph, scripts, wakes, kwargs = self.scenario(graph_name, seed)
+        assert_equivalent(*run_both(graph, scripts, wakes, **kwargs))
+
+    def test_family_reaches_every_rule(self, monkeypatch):
+        """The family stops paced walks on a degree and before an
+        invalid port, blocks paced moves and crashes paced walkers."""
+        seen = {"degree": 0, "invalid": 0, "blocked": 0, "crash": 0}
+        arrival = Simulation._paced_arrival
+        apply_moves = Simulation._apply_moves
+        crash = Simulation._crash
+
+        def recording_arrival(sim, idx, round_, q):
+            going = arrival(sim, idx, round_, q)
+            if not going and q.next < len(q.ports):
+                degree = q.cols[1][-1]
+                stop = q.stop_degree
+                seen["degree" if stop and degree >= stop else "invalid"] += 1
+            return going
+
+        def paced(sim, idx):  # the queued slot holds a paced walk
+            return isinstance(sim._queued[idx], _PacedWalk)
+
+        def recording_moves(sim, pending, round_):
+            apply_moves(sim, pending, round_)
+            for idx, _port in pending:
+                if paced(sim, idx) and sim._queued[idx].port is not None:
+                    seen["blocked"] += 1
+
+        def recording_crash(sim, idx, round_):
+            seen["crash"] += paced(sim, idx)
+            crash(sim, idx, round_)
+
+        monkeypatch.setattr(Simulation, "_paced_arrival", recording_arrival)
+        monkeypatch.setattr(Simulation, "_apply_moves", recording_moves)
+        monkeypatch.setattr(Simulation, "_crash", recording_crash)
+        for graph_name in PACED_GRAPHS:
+            for seed in range(self.SEEDS):
+                graph, scripts, wakes, kwargs = self.scenario(graph_name, seed)
+                dynamics = kwargs.pop("dynamics", None)
+                sim = Simulation(
+                    graph, _specs(scripts, wakes),
+                    dynamics=dynamics and dynamics(graph), **kwargs,
+                )
+                try:
+                    sim.run()
+                except DeadlockError:  # a crash may strand a dormant agent
+                    pass
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("crash_round", [2, 3, 4, 5, 7])
+    def test_crash_mid_paced_walk(self, crash_round):
+        """Crash a paced walker in a wait, at a move round or at an
+        arrival; from round 4 to 7 it waits on label 2's node, whose
+        watches see it come and go."""
+        graph = EXTENDED_GRAPHS["ring6"]
+        scripts = [
+            [("paced", (0, 1, 0, 0), 3, None, False)],
+            [("move", 0, None), ("wait", 30, ("gt", 1)),
+             ("wait", 30, ("lt", 2))],
+        ]
+        assert_equivalent(*run_both(
+            graph, scripts, [0, 0], starts=[0, 2],
+            faults=[(1, crash_round)], horizon=200,
+        ))
+
+    def test_blocked_paced_move_retries(self):
+        """A paced move into the fully blocked round burns the round
+        and retries without a second wait."""
+        graph = EXTENDED_GRAPHS["torus33"]
+        scripts = [
+            [("paced", (0, 1, 2, 3), 2, None, False), ("wait", 2, None)],
+            [("paced", (3, 2), 1, None, False)],
+        ]
+        assert_equivalent(*run_both(
+            graph, scripts, [0, 1],
+            dynamics=lambda g: _AllBlockedRound(g, block_round=2),
+        ))
+
+    def test_invalid_paced_port_rejected_identically(self):
+        scripts = [
+            [("paced", (0, 0, 1), 2, None, False)],
+            [("wait", 9, None)],
+        ]
+        assert_equivalent(*run_both(GRAPHS["path3"], scripts, [0, 0]))
+
+
+def _walk_cols_program(ctx):
+    cols = yield from walk_cols(ctx, (~1,) * 10)
+    return cols
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the scalar planner returns uncut walker columns when a later "
+    "walker truncates the segment; fixing it changes stored records",
+)
+def test_scalar_planner_walk_cols_truncation():
+    """Label 2 truncates the joint segment before dormant label 3, but
+    ``_plan_segment`` hands label 1 its full-length columns, so
+    ``walk_cols`` skips edges it never walked (19 moves against the
+    reference's 20)."""
+    graph = ring(8, seed=0)
+    runs = []
+    for sim_cls, extra in (
+        (Simulation, {"route_cache": False}), (ReferenceSimulation, {}),
+    ):
+        sim = sim_cls(graph, [
+            AgentSpec(1, 0, _walk_cols_program, 0),
+            AgentSpec(2, 1, _walk_cols_program, 0),
+            AgentSpec(3, 4, scripted_program([("wait", 1, None)]), None),
+        ], trace=True, **extra)
+        runs.append((sim, sim.run()))
+    assert_equivalent(*runs)
 
 
 @settings(max_examples=120, deadline=None)

@@ -20,7 +20,7 @@ from repro.core.gather_unknown import (
     star_check,
 )
 from repro.core.unknown_parameters import UnknownBoundSchedule
-from repro.graphs import single_edge, star_graph
+from repro.graphs import path_graph, single_edge, star_graph
 from repro.sim import AgentSpec, Simulation
 from repro.sim.agent import move, wait
 
@@ -94,6 +94,26 @@ class TestBallTraversal:
         payloads = run_agents(
             star_graph(4),
             [(1, 1, program, 0), (2, 2, sleeper, 0)],
+        )
+        assert payloads[1] is False
+
+    @pytest.mark.parametrize("start,other", [(0, 2), (1, 0)],
+                             ids=["reached", "start"])
+    def test_aborts_on_degree_equal_to_n_h(self, sched, start, other):
+        """The path's middle node has degree exactly n_1 = 2: reaching
+        it, or starting on it, ends the traversal too."""
+
+        def program(ctx):
+            ok = yield from ball_traversal(ctx, sched, 1)
+            return ok
+
+        def sleeper(ctx):
+            yield from wait(ctx, 10**30)
+            return None
+
+        payloads = run_agents(
+            path_graph(3),
+            [(1, start, program, 0), (2, other, sleeper, 0)],
         )
         assert payloads[1] is False
 
